@@ -15,18 +15,18 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import __version__
+from . import __version__, optimize
 from .benchfns import get_test_function, scale_design
 from .discrepancy import cd2, cd2_gradient
 from .lattice import TaConfig, embed, random_utype, ta_optimize
-from .optimize import RefinerConfig, cdfss, cgd, czg, refine_pipeline
+from .optimize import RefinerConfig, refine_pipeline
 from .sampling import lhd, lhs, mlhs
 from .surrogate import evaluate_mse
 
@@ -38,11 +38,10 @@ EXIT_INPUT = 3
 EXIT_NUMERICAL = 4
 
 _ALGOS = ("ta", "ta+cgd", "ta+czg", "ta+cdfss", "cgd", "czg", "cdfss")
-_REFINERS = {"cgd": cgd, "czg": czg, "cdfss": cdfss}
 
 
 class DesignFileError(Exception):
-    """Malformed design file (non-numeric cell, ragged rows, out-of-range entry)."""
+    """Malformed design file (non-numeric or non-finite cell, ragged rows, out-of-range entry)."""
 
 
 @dataclasses.dataclass
@@ -78,11 +77,16 @@ def read_design_csv(path: str, unit_range: bool = True) -> np.ndarray:
             parsed = []
             for c, cell in enumerate(record):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DesignFileError(
                         f"{path}: row {r + 1}, column {c + 1}: not a number: {cell!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise DesignFileError(
+                        f"{path}: row {r + 1}, column {c + 1}: not finite: {cell!r}"
+                    )
+                parsed.append(value)
             rows.append(parsed)
     if not rows:
         raise DesignFileError(f"{path}: no data rows")
@@ -174,14 +178,14 @@ def _refiner_config(args, s: int) -> RefinerConfig:
 
 def _cmd_construct(args, argv) -> int:
     t0 = time.perf_counter()
-    standalone = args.algo in _REFINERS
+    standalone = args.algo in optimize._REFINERS
     if standalone:
         if not args.init:
             print(f"error: --algo {args.algo} requires --init", file=sys.stderr)
             return EXIT_USAGE
         init = read_design_csv(args.init)
         refiner_config = _refiner_config(args, init.shape[1])
-        result = _REFINERS[args.algo](init, refiner_config)
+        result = optimize._REFINERS[args.algo](init, refiner_config)
         design, final_cd2 = result.design, result.cd2
         trace_rows = list(result.trace.records)
         termination = result.termination
@@ -247,9 +251,6 @@ def _cmd_sample(args, argv) -> int:
         if args.q is None:
             print("error: --kind utype requires --q", file=sys.stderr)
             return EXIT_USAGE
-        if args.n % args.q != 0:
-            print(f"error: q={args.q} does not divide n={args.n}", file=sys.stderr)
-            return EXIT_USAGE
         matrix = random_utype(args.n, args.q, args.s, args.seed).levels
         integer = True
     elif args.kind == "lhd":
@@ -273,21 +274,15 @@ def _cmd_sample(args, argv) -> int:
     return EXIT_OK
 
 
-def _bench_jobs(requested: int) -> int:
-    cap = os.environ.get("UNIDESIGN_THREADS")
-    if cap:
-        try:
-            requested = min(requested, max(1, int(cap)))
-        except ValueError:
-            pass
-    return max(1, requested)
-
-
 def _cmd_bench(args, argv) -> int:
     t0 = time.perf_counter()
     if bool(args.design) == bool(args.sampler):
         print("error: exactly one of --design or --sampler is required", file=sys.stderr)
         return EXIT_USAGE
+    for flag, value in (("--reps", args.reps), ("--test-points", args.test_points)):
+        if value < 1:
+            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return EXIT_USAGE
 
     bases = [b.strip() for b in args.basis.split(",") if b.strip()]
     designs: list[np.ndarray] = []
@@ -322,17 +317,10 @@ def _cmd_bench(args, argv) -> int:
         except (ValueError, np.linalg.LinAlgError) as exc:
             return {"error": str(exc)}
 
-    jobs = _bench_jobs(args.jobs)
     report_bases: dict[str, dict] = {}
     any_ok = False
     for basis in bases:
-        if len(designs) == 1:
-            results = [cell(basis, designs[0])]
-        elif jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(lambda d: cell(basis, d), designs))
-        else:
-            results = [cell(basis, d) for d in designs]
+        results = [cell(basis, d) for d in designs]
         ok = [r for r in results if "mse" in r]
         entry: dict = {"cells": results}
         if ok:
@@ -344,7 +332,7 @@ def _cmd_bench(args, argv) -> int:
     manifest = RunManifest(
         command="bench", argv=argv,
         config={"fn": args.fn, "bases": bases, "test_points": args.test_points,
-                "seed": args.seed, "jobs": args.jobs, **source},
+                "seed": args.seed, **source},
         wall_time_seconds=time.perf_counter() - t0,
         result={b: {k: v for k, v in e.items() if k != "cells"} for b, e in report_bases.items()},
     )
@@ -394,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", default="poly0", help="comma list of poly0,poly1,poly2")
     p.add_argument("--test-points", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="parallel reps (capped by UNIDESIGN_THREADS)")
     p.add_argument("--out", default="report.json")
     return parser
 

@@ -48,24 +48,64 @@ def as_design_matrix(values) -> np.ndarray:
     return x
 
 
+def _f1(a):
+    """f1 from a = |x - 1/2|; broadcasts."""
+    return 1.0 + 0.5 * a - 0.5 * a * a
+
+
+def _f2(u, au, w, aw):
+    """f2(u, w) from the points and their distances to 1/2; broadcasts."""
+    return 1.0 + 0.5 * (au + aw) - 0.5 * np.abs(u - w)
+
+
+def _kernel(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The n x n pairwise kernel, entry (i, l) = prod_k f2(x_ik, x_lk)."""
+    kernel = np.ones((x.shape[0], x.shape[0]))
+    for k in range(x.shape[1]):
+        kernel *= _f2(x[:, k, None], a[:, k, None], x[None, :, k], a[None, :, k])
+    return kernel
+
+
+def _kernel_row(x: np.ndarray, a: np.ndarray, i: int, j: int, value: float):
+    """f1 product and kernel row of row i with x_ij = value (O(ns))."""
+    xi = x[i].copy()
+    xi[j] = value
+    ai = np.abs(xi - 0.5)
+    row = np.prod(_f2(xi[None, :], ai[None, :], x, a), axis=1)
+    # the diagonal pairs the new row with itself, not with the old x[i]
+    row[i] = np.prod(1.0 + ai)
+    return float(np.prod(_f1(ai))), row
+
+
+def _loo_terms(x: np.ndarray, a: np.ndarray, rp_i: float, kernel_row: np.ndarray,
+               i: int, j: int):
+    """Leave-one-out products at (i, j) from row i's f1 product and kernel row (O(n + s))."""
+    ai = a[i]
+    p1 = rp_i / _f1(ai[j])
+    g2_row = 1.0 + ai
+    p2 = float(np.prod(g2_row) / g2_row[j])
+    column = x[:, j]
+    kernel_row_loo = kernel_row / _f2(x[i, j], ai[j], column, a[:, j])
+    return p1, p2, kernel_row_loo, column
+
+
+def _pair_sum(x: float, sc: float, column: np.ndarray, p2: float,
+              kernel_row_loo: np.ndarray) -> float:
+    """Sum over k != i of kernel_row_loo[k] * (sc - sgn(x - x_kj)) / 2.
+
+    The k = i term is subtracted from the full dot product: its leave-one-out
+    product is exactly p2 and its weight is sc/2 because sgn(x - x) = 0.
+    """
+    w = 0.5 * sc - 0.5 * np.sign(x - column)
+    return float(kernel_row_loo @ w) - p2 * 0.5 * sc
+
+
 def cd2(design) -> float:
     """Squared centered L2-discrepancy of a design in [0,1]^s.
 
     Raw value; tiny negatives from round-off are not clamped.
     """
-    x = as_design_matrix(design)
-    n, s = x.shape
-    a = np.abs(x - 0.5)
-    row_products = np.prod(1.0 + 0.5 * a - 0.5 * a * a, axis=1)
-    kernel = np.ones((n, n))
-    for k in range(s):
-        ak = a[:, k]
-        kernel *= 1.0 + 0.5 * (ak[:, None] + ak[None, :]) - 0.5 * np.abs(
-            x[:, k, None] - x[None, :, k]
-        )
-    return (13.0 / 12.0) ** s - (2.0 / n) * float(row_products.sum()) + float(
-        kernel.sum()
-    ) / n**2
+    return DiscrepancyCache(design).cd2
 
 
 def _coordinate_gradient(
@@ -84,10 +124,7 @@ def _coordinate_gradient(
     """
     d = x - 0.5
     sc = float(np.sign(d))
-    w = 0.5 * sc - 0.5 * np.sign(x - column)
-    # remove the k = i term: its leave-one-out product is exactly p2 and its
-    # weight is sc/2 because sgn(x - x) = 0
-    pair_sum = float(kernel_row_loo @ w) - p2 * 0.5 * sc
+    pair_sum = _pair_sum(x, sc, column, p2, kernel_row_loo)
     return (
         -(2.0 / n) * p1 * (0.5 * sc - d)
         + p2 * sc / n**2
@@ -115,27 +152,10 @@ def _zero_gradient_recursion(
     xt = x0
     for _ in range(t_max):
         sc = float(np.sign(xt - 0.5))
-        w = 0.5 * sc - 0.5 * np.sign(xt - column)
-        pair_sum = float(kernel_row_loo @ w) - p2 * 0.5 * sc
+        pair_sum = _pair_sum(xt, sc, column, p2, kernel_row_loo)
         a = -(2.0 / n) * p1 * 0.5 * sc + p2 * sc / n**2 + (2.0 / n**2) * pair_sum
         xt = a / b + 0.5
     return min(1.0, max(0.0, xt))
-
-
-def _row_loo_terms(x: np.ndarray, i: int, j: int):
-    """Leave-one-out products for row ``i`` without factor ``j`` (O(ns))."""
-    n = x.shape[0]
-    ai = np.abs(x[i] - 0.5)
-    f1_row = 1.0 + 0.5 * ai - 0.5 * ai * ai
-    p1 = float(np.prod(f1_row) / f1_row[j])
-    g2_row = 1.0 + ai
-    p2 = float(np.prod(g2_row) / g2_row[j])
-    a = np.abs(x - 0.5)
-    # row i against itself collapses exactly to 1 + |x - 1/2| per factor
-    f2_all = 1.0 + 0.5 * (ai[None, :] + a) - 0.5 * np.abs(x[i][None, :] - x)
-    kernel_row = np.prod(f2_all, axis=1)
-    kernel_row_loo = kernel_row / f2_all[:, j]
-    return p1, p2, kernel_row_loo, x[:, j].copy(), n
 
 
 def cd2_gradient(design) -> np.ndarray:
@@ -151,27 +171,19 @@ def cd2_gradient(design) -> np.ndarray:
     d = x - 0.5
     sc = np.sign(d)
 
-    f1 = 1.0 + 0.5 * a - 0.5 * a * a
+    f1 = _f1(a)
     p1 = np.prod(f1, axis=1, keepdims=True) / f1
 
     g2 = 1.0 + a
     p2 = np.prod(g2, axis=1, keepdims=True) / g2
 
-    kernel = np.ones((n, n))
-    for k in range(s):
-        ak = a[:, k]
-        kernel *= 1.0 + 0.5 * (ak[:, None] + ak[None, :]) - 0.5 * np.abs(
-            x[:, k, None] - x[None, :, k]
-        )
+    kernel = _kernel(x, a)
 
     grad = -(2.0 / n) * p1 * (0.5 * sc - d) + p2 * sc / n**2
     for j in range(s):
         col = x[:, j]
         aj = a[:, j]
-        f2_j = 1.0 + 0.5 * (aj[:, None] + aj[None, :]) - 0.5 * np.abs(
-            col[:, None] - col[None, :]
-        )
-        loo = kernel / f2_j
+        loo = kernel / _f2(col[:, None], aj[:, None], col[None, :], aj[None, :])
         w = 0.5 * sc[:, j, None] - 0.5 * np.sign(col[:, None] - col[None, :])
         pair = np.einsum("ik,ik->i", loo, w) - p2[:, j] * 0.5 * sc[:, j]
         grad[:, j] += (2.0 / n**2) * pair
@@ -191,19 +203,21 @@ def zero_gradient_solve(design, i: int, j: int, t_max: int = 1) -> float:
         raise IndexError(f"coordinate ({i}, {j}) out of range for a {n}x{s} design")
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    p1, p2, kernel_row_loo, column, n = _row_loo_terms(x, i, j)
+    a = np.abs(x - 0.5)
+    rp_i, kernel_row = _kernel_row(x, a, i, j, x[i, j])
+    p1, p2, kernel_row_loo, column = _loo_terms(x, a, rp_i, kernel_row, i, j)
     return _zero_gradient_recursion(x[i, j], column, p1, p2, kernel_row_loo, n, t_max)
 
 
 class DiscrepancyCache:
-    """Cached CD2 state supporting O(ns) single-coordinate re-evaluation.
+    """Cached CD2 state for single-coordinate re-evaluation.
 
     Holds the design, its per-row f1 products, the symmetric pairwise f2
     kernel and the current CD2 value.  ``update`` commits a coordinate change
     by recomputing the affected kernel row/column from the design (no
-    multiplicative deltas, so repeated updates cannot drift).  The
-    ``preview_*`` methods score candidate changes in O(n) / O(ns) without
-    mutating any state.
+    multiplicative deltas, so repeated updates cannot drift); it costs O(ns)
+    for the row plus O(n^2) to re-sum the kernel.  The ``preview_*`` methods
+    score candidate changes in O(n) / O(ns) without mutating any state.
 
     Single-writer: concurrent mutation is not supported.
     """
@@ -216,16 +230,10 @@ class DiscrepancyCache:
         self.n = n
         self.s = s
         self._const = (13.0 / 12.0) ** s
-        self._rp = np.prod(1.0 + 0.5 * self._a - 0.5 * self._a * self._a, axis=1)
-        kernel = np.ones((n, n))
-        for k in range(s):
-            ak = self._a[:, k]
-            kernel *= 1.0 + 0.5 * (ak[:, None] + ak[None, :]) - 0.5 * np.abs(
-                x[:, k, None] - x[None, :, k]
-            )
-        self._kernel = kernel
+        self._rp = np.prod(_f1(self._a), axis=1)
+        self._kernel = _kernel(x, self._a)
         self._sum_rp = float(self._rp.sum())
-        self._sum_kernel = float(kernel.sum())
+        self._sum_kernel = float(self._kernel.sum())
         self.cd2 = self._combine(self._sum_rp, self._sum_kernel)
 
     def _combine(self, sum_rp: float, sum_kernel: float) -> float:
@@ -255,25 +263,12 @@ class DiscrepancyCache:
         if not (0.0 <= value <= 1.0):
             raise ValueError(f"new value {value!r} outside [0, 1]")
 
-    def _new_row(self, i: int, j: int, value: float):
-        """Recomputed f1 product and kernel row for row i with x_ij = value."""
-        xi = self._x[i].copy()
-        xi[j] = value
-        ai = np.abs(xi - 0.5)
-        rp = float(np.prod(1.0 + 0.5 * ai - 0.5 * ai * ai))
-        row = np.prod(
-            1.0 + 0.5 * (ai[None, :] + self._a) - 0.5 * np.abs(xi[None, :] - self._x),
-            axis=1,
-        )
-        row[i] = np.prod(1.0 + ai)
-        return rp, row
-
     def update(self, i: int, j: int, value: float) -> float:
         """Set x_ij = value, refresh the affected cache entries, return CD2."""
         self._check_update(i, j, value)
         self._x[i, j] = value
         self._a[i, j] = abs(value - 0.5)
-        rp, row = self._new_row(i, j, value)
+        rp, row = _kernel_row(self._x, self._a, i, j, value)
         self._rp[i] = rp
         self._kernel[i, :] = row
         self._kernel[:, i] = row
@@ -287,7 +282,7 @@ class DiscrepancyCache:
         self._check_update(i, j, value)
         if value == self._x[i, j]:
             return self.cd2
-        rp, row = self._new_row(i, j, value)
+        rp, row = _kernel_row(self._x, self._a, i, j, value)
         old_row = self._kernel[i]
         d_rp = rp - self._rp[i]
         d_kernel = 2.0 * float(row.sum() - old_row.sum()) - (row[i] - old_row[i])
@@ -305,14 +300,13 @@ class DiscrepancyCache:
         if u == v:
             return self.cd2
         au, av = abs(u - 0.5), abs(v - 0.5)
-        f1u = 1.0 + 0.5 * au - 0.5 * au * au
-        f1v = 1.0 + 0.5 * av - 0.5 * av * av
+        f1u, f1v = _f1(au), _f1(av)
         d_rp = self._rp[r1] * (f1v / f1u - 1.0) + self._rp[r2] * (f1u / f1v - 1.0)
 
         w = x[:, col]
         aw = self._a[:, col]
-        f2_u = 1.0 + 0.5 * (au + aw) - 0.5 * np.abs(u - w)
-        f2_v = 1.0 + 0.5 * (av + aw) - 0.5 * np.abs(v - w)
+        f2_u = _f2(u, au, w, aw)
+        f2_v = _f2(v, av, w, aw)
         ratio = f2_v / f2_u
         inv = f2_u / f2_v
         # off-diagonal deltas for both rows; the (r1, r2) entry and the
@@ -333,22 +327,11 @@ class DiscrepancyCache:
         self.update(r1, col, v)
         return self.update(r2, col, u)
 
-    def _loo_terms(self, i: int, j: int):
-        """Leave-one-out products at (i, j) from cached state (O(n + s))."""
-        x = self._x[i, j]
-        ai = self._a[i]
-        f1x = 1.0 + 0.5 * ai[j] - 0.5 * ai[j] * ai[j]
-        p1 = self._rp[i] / f1x
-        g2_row = 1.0 + ai
-        p2 = float(np.prod(g2_row) / g2_row[j])
-        column = self._x[:, j]
-        f2_col = 1.0 + 0.5 * (ai[j] + self._a[:, j]) - 0.5 * np.abs(x - column)
-        kernel_row_loo = self._kernel[i] / f2_col
-        return p1, p2, kernel_row_loo, column
-
     def coordinate_gradient(self, i: int, j: int) -> float:
         """dCD2/dx_ij at the cached design (O(n + s))."""
-        p1, p2, kernel_row_loo, column = self._loo_terms(i, j)
+        p1, p2, kernel_row_loo, column = _loo_terms(
+            self._x, self._a, self._rp[i], self._kernel[i], i, j
+        )
         return _coordinate_gradient(
             self._x[i, j], column, p1, p2, kernel_row_loo, self.n
         )
@@ -357,7 +340,9 @@ class DiscrepancyCache:
         """Stationarity recursion at (i, j) from cached state; clamped."""
         if t_max < 1:
             raise ValueError("t_max must be >= 1")
-        p1, p2, kernel_row_loo, column = self._loo_terms(i, j)
+        p1, p2, kernel_row_loo, column = _loo_terms(
+            self._x, self._a, self._rp[i], self._kernel[i], i, j
+        )
         return _zero_gradient_recursion(
             self._x[i, j], column, p1, p2, kernel_row_loo, self.n, t_max
         )

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unidesign.cli import main, read_design_csv, write_matrix_csv
 from conftest import FIXTURES, UD18X7_CD2
@@ -48,6 +52,14 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", "--design", str(path))
         assert code == 3
         assert "column 2" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_exit_3(self, capsys, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0.1,0.2\n0.3,{cell}\n")
+        code, _, err = run(capsys, "evaluate", "--design", str(path))
+        assert code == 3
+        assert "row 2, column 2" in err
 
     def test_out_of_range_entry_exit_3(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
@@ -275,15 +287,32 @@ class TestBench:
         assert code == 3
         assert "expects 4" in err
 
-    def test_parallel_jobs_respect_thread_cap(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("UNIDESIGN_THREADS", "1")
+    def test_sampler_reps_give_one_cell_each(self, capsys, tmp_path):
         out = tmp_path / "r.json"
         code, _, _ = run(capsys, "bench", "--fn", "const", "--sampler", "lhs",
-                         "--reps", "3", "--n", "6", "--s", "2", "--jobs", "4",
+                         "--reps", "3", "--n", "6", "--s", "2",
                          "--test-points", "20", "--out", str(out))
         assert code == 0
         report = json.loads(out.read_text())
         assert len(report["bases"]["poly0"]["cells"]) == 3
+
+    def test_zero_reps_exit_2(self, capsys, tmp_path):
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "bench", "--fn", "const", "--sampler", "lhs",
+                           "--reps", "0", "--n", "6", "--s", "2", "--out", str(out))
+        assert code == 2
+        assert "--reps" in err
+        assert not out.exists()
+
+    def test_zero_test_points_exit_2(self, capsys, tmp_path):
+        design = tmp_path / "d.csv"
+        write_matrix_csv(str(design), np.random.default_rng(0).random((8, 3)))
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "bench", "--fn", "const", "--design", str(design),
+                           "--test-points", "0", "--out", str(out))
+        assert code == 2
+        assert "--test-points" in err
+        assert not out.exists()
 
 
 def test_usage_error_exit_code():
@@ -296,3 +325,91 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+
+# Design files the generated argv may name: valid, malformed, or missing.
+# An argument "@name" stands for the file "name" in the example's directory.
+_DESIGN_FILES = {
+    "good.csv": "0.1,0.6\n0.4,0.2\n0.9,0.8\n0.55,0.35\n",
+    "nan.csv": "0.1,nan\n0.4,0.2\n",
+    "range.csv": "0.1,1.5\n0.4,0.2\n",
+    "ragged.csv": "0.1,0.2\n0.3\n",
+    "text.csv": "0.1,x\n",
+    "empty.csv": "",
+    "missing.csv": None,
+}
+
+
+def _pick(good, bad=()):
+    """One of ``good``, or one of ``bad`` in about one draw in eight."""
+    good, bad = list(good), list(bad)
+    return st.integers(0, 7 if bad else 0).flatmap(
+        lambda k: st.sampled_from(bad if k == 7 else good)
+    )
+
+
+def _opt(flag, good, bad=()):
+    return _pick([[flag, str(v)] for v in good], [[flag, str(v)] for v in bad])
+
+
+def _argv(command, *parts):
+    return st.tuples(*parts).map(lambda ps: [command, *(a for p in ps for a in p)])
+
+
+# q is mostly drawn to divide n, so that most examples reach the optimizers
+_N_Q = _pick(range(2, 7), (-1, 0, 1)).flatmap(
+    lambda n: _pick([n, 1], [0, 2]).map(lambda q: ["--n", str(n), "--q", str(q)])
+)
+_SEED = _opt("--seed", range(0, 7), (-1,))
+_construct = _argv(
+    "construct",
+    _opt("--algo", ["ta", "ta+cgd", "ta+czg", "ta+cdfss", "cgd", "czg", "cdfss"]),
+    _opt("--init", ["@good.csv"], ["@nan.csv", "@range.csv", "@missing.csv"]),
+    _N_Q, _opt("--s", range(1, 5), (-1, 0)), _SEED,
+    _opt("--alpha", [0.1, 0.5], [0, 1, "nan"]),
+    # small budgets keep each example cheap
+    _opt("--stages", range(1, 4), (0,)), _opt("--probes", range(1, 6), (0,)),
+    _opt("--iters-per-stage", range(1, 21), (0,)), _opt("--max-epochs", range(1, 4), (-1, 0)),
+    _opt("--delta", [0.01, 0.1, 0, "nan"], (-1,)), _opt("--t-max", (1, 2), (0,)),
+    _pick([[], ["--delta-j", "0.05"]], (["--delta-j", v] for v in ("0,1", "-1", "a"))),
+    _pick([[], ["--guarded"]]),
+    _pick([[], ["--trace", "@t.csv"], ["--projections", "@p.csv"]]),
+    _opt("--out", ["@out.csv"]),
+)
+_evaluate = _argv(
+    "evaluate", _opt("--design", [f"@{name}" for name in _DESIGN_FILES]),
+    _pick([[], ["--gradient"]]),
+)
+_sample = _argv(
+    "sample", _opt("--kind", ["lhd", "lhs", "mlhs", "utype"]),
+    _N_Q, _opt("--s", range(1, 5), (-1, 0)), _SEED, _opt("--out", ["@out.csv"]),
+)
+_bench = _argv(
+    "bench", _opt("--fn", ["wood", "camelback", "const"]),
+    _pick(
+        [["--design", "@good.csv"], ["--sampler", "lhs", "--n", "6", "--s", "4"],
+         ["--sampler", "mlhs", "--n", "5", "--s", "2"]],
+        [["--design", "@nan.csv"], ["--design", "@missing.csv"], ["--sampler", "lhs"],
+         ["--sampler", "mlhs", "--n", "0", "--s", "2"],
+         ["--design", "@good.csv", "--sampler", "lhs"], []],
+    ),
+    _opt("--reps", (1, 2), (-1, 0)),
+    _opt("--basis", ["poly0", "poly1", "poly0,poly2"], ["poly7", ""]),
+    _opt("--test-points", range(1, 21), (-1, 0)), _SEED, _opt("--out", ["@out.json"]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=st.one_of(_construct, _evaluate, _sample, _bench))
+def test_generated_argv_exit_codes(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, text in _DESIGN_FILES.items():
+            if text is not None:
+                (root / name).write_text(text)
+        argv = [str(root / a[1:]) if a.startswith("@") else a for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 2, 3, 4)

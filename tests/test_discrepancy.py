@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import qmc
 
 from unidesign import DiscrepancyCache, cd2, cd2_gradient, zero_gradient_solve
 from conftest import UD18X7_CD2, UD27X13_CD2
@@ -58,6 +59,25 @@ class TestCd2:
         assert cd2(x[rows]) == pytest.approx(value, abs=1e-12)
         assert cd2(x[:, cols]) == pytest.approx(value, abs=1e-12)
         assert cd2(1.0 - x) == pytest.approx(value, abs=1e-12)
+
+
+class TestScipyOracle:
+    """cd2 and the cache's build against SciPy's independent CD implementation."""
+
+    @staticmethod
+    def check(x):
+        expected = qmc.discrepancy(x, method="CD")
+        assert cd2(x) == pytest.approx(expected, abs=1e-12)
+        assert DiscrepancyCache(x).cd2 == pytest.approx(expected, abs=1e-12)
+
+    def test_published_designs(self, ud18x7, ud27x13):
+        self.check(ud18x7)
+        self.check(ud27x13)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 30), s=st.integers(1, 8))
+    def test_random_shapes(self, seed, n, s):
+        self.check(random_design(n, s, seed))
 
 
 class TestGradient:
