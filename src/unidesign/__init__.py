@@ -16,6 +16,7 @@ from .discrepancy import (
     zero_gradient_solve,
 )
 from .lattice import (
+    OptimizationTrace,
     TaConfig,
     TaResult,
     UTypeDesign,
@@ -26,7 +27,6 @@ from .lattice import (
     threshold_sequence,
 )
 from .optimize import (
-    OptimizationTrace,
     RefineResult,
     RefinerConfig,
     cdfss,

@@ -2,11 +2,13 @@
 
 File formats: designs are headerless CSV (rows = runs, columns = factors,
 values with 17 significant digits so they round-trip float64 exactly);
-traces are ``epoch,cd2,seconds`` CSV (``iteration,cd2`` for TA-only runs);
-every file-writing command also writes a JSON manifest capturing the full
-configuration for bit-exact replay.
+traces are ``step,cd2,seconds`` CSV for every algorithm, where ``step`` is
+the TA iteration or the refiner epoch and 0 is the starting design; every
+file-writing command also writes a JSON manifest recording the parsed
+arguments, for replay.
 
-Exit codes: 0 success, 2 usage error, 3 input-data error, 4 numerical failure.
+Exit codes: 0 success, 2 usage error (including an output path that cannot
+be written), 3 input-data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,16 +21,17 @@ import math
 import os
 import sys
 import time
+from typing import get_args
 
 import numpy as np
 
 from . import __version__, optimize
 from .benchfns import get_test_function, scale_design
 from .discrepancy import cd2, cd2_gradient
-from .lattice import TaConfig, embed, random_utype, ta_optimize
-from .optimize import RefinerConfig, refine_pipeline
+from .lattice import OptimizationTrace, TaConfig, embed, random_utype, ta_optimize
+from .optimize import RefinerConfig
 from .sampling import lhd, lhs, mlhs
-from .surrogate import evaluate_mse
+from .surrogate import TrendBasis, evaluate_mse
 
 __all__ = ["main", "DesignFileError", "read_design_csv", "write_matrix_csv", "RunManifest"]
 
@@ -110,11 +113,11 @@ def write_matrix_csv(path: str, matrix: np.ndarray, integer: bool = False) -> No
     np.savetxt(path, np.atleast_2d(matrix), fmt=fmt, delimiter=",")
 
 
-def _write_trace_csv(path: str, rows) -> None:
+def _write_trace_csv(path: str, trace: OptimizationTrace) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        for row in rows:
-            writer.writerow([row[0]] + [f"{v:.17g}" if isinstance(v, float) else v for v in row[1:]])
+        for r in trace.records:
+            writer.writerow([r.step, f"{r.cd2:.17g}", f"{r.seconds:.17g}"])
 
 
 def _write_projections_csv(path: str, design: np.ndarray) -> None:
@@ -131,6 +134,11 @@ def _write_projections_csv(path: str, design: np.ndarray) -> None:
 def _manifest_path(out: str) -> str:
     base, _ = os.path.splitext(out)
     return base + ".manifest.json"
+
+
+def _manifest_config(args) -> dict:
+    """The parsed options, less the subcommand and the manifest path."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "manifest")}
 
 
 def _add_construct_parser(sub) -> None:
@@ -178,55 +186,42 @@ def _refiner_config(args, s: int) -> RefinerConfig:
 
 def _cmd_construct(args, argv) -> int:
     t0 = time.perf_counter()
-    standalone = args.algo in optimize._REFINERS
-    if standalone:
-        if not args.init:
-            print(f"error: --algo {args.algo} requires --init", file=sys.stderr)
+    from_ta = args.algo.startswith("ta")
+    refine = optimize._REFINERS.get(args.algo.rpartition("+")[2])
+    for name in ("n", "q", "s") if from_ta else ("init",):
+        if getattr(args, name) in (None, ""):
+            print(f"error: --algo {args.algo} requires --{name}", file=sys.stderr)
             return EXIT_USAGE
-        init = read_design_csv(args.init)
-        refiner_config = _refiner_config(args, init.shape[1])
-        result = optimize._REFINERS[args.algo](init, refiner_config)
-        design, final_cd2 = result.design, result.cd2
-        trace_rows = list(result.trace.records)
-        termination = result.termination
-    else:
-        for name in ("n", "q", "s"):
-            if getattr(args, name) is None:
-                print(f"error: --algo {args.algo} requires --{name}", file=sys.stderr)
-                return EXIT_USAGE
+    if from_ta:
         ta_config = TaConfig(
             n=args.n, q=args.q, s=args.s, alpha=args.alpha, stages=args.stages,
             probes=args.probes, iterations_per_stage=args.iters_per_stage, seed=args.seed,
         )
-        if args.algo == "ta":
-            ta_result = ta_optimize(ta_config)
-            design, final_cd2 = embed(ta_result.design), ta_result.cd2
-            trace_rows = ta_result.trace
-            termination = "schedule_exhausted"
-        else:
-            refiner = args.algo.split("+", 1)[1]
-            refiner_config = _refiner_config(args, args.s)
-            result = refine_pipeline(ta_config, refiner, refiner_config)
-            design, final_cd2 = result.design, result.cd2
-            trace_rows = list(result.trace.records)
-            termination = result.termination
+    else:
+        design = read_design_csv(args.init)
+    # built before TA runs, so that bad refiner options fail fast
+    if refine:
+        refiner_config = _refiner_config(args, args.s if from_ta else design.shape[1])
+
+    # phase 1: the start design is the TA result, or the --init design read above
+    if from_ta:
+        ta_result = ta_optimize(ta_config)
+        design, final_cd2, trace = embed(ta_result.design), ta_result.cd2, ta_result.trace
+        termination = "schedule_exhausted"
+    # phase 2: the continuous refiner
+    if refine:
+        result = refine(design, refiner_config)
+        design, final_cd2, trace = result.design, result.cd2, result.trace
+        termination = result.termination
 
     write_matrix_csv(args.out, design)
     if args.trace:
-        _write_trace_csv(args.trace, trace_rows)
+        _write_trace_csv(args.trace, trace)
     if args.projections:
         _write_projections_csv(args.projections, design)
 
-    config = {
-        "algo": args.algo, "n": args.n, "q": args.q, "s": args.s, "seed": args.seed,
-        "init": args.init, "alpha": args.alpha, "stages": args.stages,
-        "probes": args.probes, "iters_per_stage": args.iters_per_stage,
-        "delta": args.delta, "epsilon": args.epsilon, "max_epochs": args.max_epochs,
-        "t_max": args.t_max, "delta_j": args.delta_j, "guarded": args.guarded,
-        "out": args.out, "trace": args.trace, "projections": args.projections,
-    }
     manifest = RunManifest(
-        command="construct", argv=argv, config=config,
+        command="construct", argv=argv, config=_manifest_config(args),
         wall_time_seconds=time.perf_counter() - t0,
         result={"cd2": final_cd2, "termination": termination,
                 "shape": list(design.shape)},
@@ -264,9 +259,7 @@ def _cmd_sample(args, argv) -> int:
         integer = False
     write_matrix_csv(args.out, matrix, integer=integer)
     manifest = RunManifest(
-        command="sample", argv=argv,
-        config={"kind": args.kind, "n": args.n, "s": args.s, "q": args.q,
-                "seed": args.seed, "out": args.out},
+        command="sample", argv=argv, config=_manifest_config(args),
         wall_time_seconds=time.perf_counter() - t0,
         result={"shape": list(matrix.shape)},
     )
@@ -283,8 +276,13 @@ def _cmd_bench(args, argv) -> int:
         if value < 1:
             print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
             return EXIT_USAGE
-
     bases = [b.strip() for b in args.basis.split(",") if b.strip()]
+    known = get_args(TrendBasis)
+    if not bases or not set(bases) <= set(known):
+        print(f"error: --basis must be a comma list of {', '.join(known)}, got {args.basis!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
+
     designs: list[np.ndarray] = []
     if args.design:
         designs.append(read_design_csv(args.design))
@@ -401,7 +399,7 @@ def main(argv=None) -> int:
     except DesignFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an output path cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except np.linalg.LinAlgError as exc:

@@ -9,7 +9,9 @@ most a threshold drawn from a decreasing schedule that ends at exactly zero.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +23,8 @@ __all__ = [
     "embed",
     "ta_neighbor",
     "threshold_sequence",
+    "TraceRecord",
+    "OptimizationTrace",
     "TaConfig",
     "TaResult",
     "ta_optimize",
@@ -140,6 +144,30 @@ def threshold_sequence(
     return values
 
 
+class TraceRecord(NamedTuple):
+    step: int  # TA iteration or refiner epoch; 0 is the starting design
+    cd2: float
+    seconds: float  # wall time since the previous record, 0.0 for the first
+
+
+@dataclass
+class OptimizationTrace:
+    """The CD2 history of one TA or refiner run."""
+
+    records: list[TraceRecord] = field(default_factory=list)
+    _last: float = field(default=0.0, init=False, repr=False, compare=False)
+
+    def append(self, step: int, value: float) -> None:
+        """Record ``value`` at ``step``, timed from the previous record."""
+        now = time.perf_counter()
+        self.records.append(TraceRecord(step, value, now - self._last if self.records else 0.0))
+        self._last = now
+
+    @property
+    def cd2_values(self) -> list[float]:
+        return [r.cd2 for r in self.records]
+
+
 @dataclass
 class TaConfig:
     """Threshold-accepting run parameters.
@@ -177,7 +205,7 @@ class TaConfig:
 class TaResult:
     design: UTypeDesign
     cd2: float
-    trace: list = field(default_factory=list)  # (iteration, cd2) per accepted move
+    trace: OptimizationTrace = field(default_factory=OptimizationTrace)
 
 
 def ta_optimize(config: TaConfig, schedule=None) -> TaResult:
@@ -203,7 +231,8 @@ def ta_optimize(config: TaConfig, schedule=None) -> TaResult:
     levels = current.levels.copy()
     best_levels = levels.copy()
     best_cd2 = cache.cd2
-    trace = [(0, cache.cd2)]
+    trace = OptimizationTrace()
+    trace.append(0, cache.cd2)
 
     if config.n < 2:
         return TaResult(UTypeDesign(best_levels, config.q), best_cd2, trace)
@@ -217,7 +246,7 @@ def ta_optimize(config: TaConfig, schedule=None) -> TaResult:
             if candidate - cache.cd2 <= threshold:
                 cache.apply_column_swap(r1, r2, col)
                 levels[[r1, r2], col] = levels[[r2, r1], col]
-                trace.append((iteration, cache.cd2))
+                trace.append(iteration, cache.cd2)
                 if cache.cd2 < best_cd2:
                     best_cd2 = cache.cd2
                     best_levels = levels.copy()

@@ -16,19 +16,16 @@ initialization even when the per-sweep trajectory fluctuates.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Literal, NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from .discrepancy import DiscrepancyCache, as_design_matrix, cd2, cd2_gradient
-from .lattice import TaConfig, TaResult, embed, ta_optimize
+from .discrepancy import DiscrepancyCache, cd2_gradient
+from .lattice import OptimizationTrace, TaConfig, embed, ta_optimize
 
 __all__ = [
     "RefinerConfig",
-    "TraceRecord",
-    "OptimizationTrace",
     "RefineResult",
     "cgd",
     "czg",
@@ -44,11 +41,13 @@ TerminationReason = Literal["converged", "max_epochs", "no_improving_move"]
 class RefinerConfig:
     """Shared knobs for the coordinate refiners.
 
-    ``step_size`` is the CGD step (0 is accepted as a degenerate no-op
-    configuration); ``epsilon`` is the per-epoch CD2 change below which a
-    run is declared converged; ``t_max`` is the CZG recursion depth;
-    ``column_steps`` are the CDFSS per-column grid steps (default 1/(2n)).
-    ``guarded`` makes CZG reject coordinate updates that increase CD2.
+    ``step_size`` is the CGD step, finite and >= 0 (0 is accepted as a
+    degenerate no-op configuration); ``epsilon`` is the per-epoch CD2 change
+    below which a run is declared converged (CDFSS ignores it and stops only
+    when no move improves); ``t_max`` is the CZG recursion depth;
+    ``column_steps`` are the CDFSS per-column grid steps, finite and positive
+    (default 1/(2n)).  ``guarded`` makes CZG reject coordinate updates that
+    increase CD2.
     """
 
     step_size: float = 0.01
@@ -59,9 +58,10 @@ class RefinerConfig:
     guarded: bool = False
 
     def __post_init__(self):
-        if self.step_size < 0:
-            raise ValueError("step_size must be >= 0")
-        if self.epsilon <= 0:
+        # written so that NaN fails every test
+        if not 0.0 <= self.step_size < np.inf:
+            raise ValueError("step_size must be finite and >= 0")
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
@@ -69,28 +69,9 @@ class RefinerConfig:
             raise ValueError("t_max must be >= 1")
         if self.column_steps is not None:
             steps = np.asarray(self.column_steps, dtype=float)
-            if steps.ndim != 1 or np.any(steps <= 0):
-                raise ValueError("column_steps must be a 1-D sequence of positive reals")
+            if steps.ndim != 1 or not np.all((0.0 < steps) & (steps < np.inf)):
+                raise ValueError("column_steps must be a 1-D sequence of finite positive reals")
             self.column_steps = steps
-
-
-class TraceRecord(NamedTuple):
-    epoch: int
-    cd2: float
-    seconds: float
-
-
-@dataclass
-class OptimizationTrace:
-    algorithm: str
-    records: list[TraceRecord] = field(default_factory=list)
-
-    def append(self, epoch: int, value: float, seconds: float) -> None:
-        self.records.append(TraceRecord(epoch, value, seconds))
-
-    @property
-    def cd2_values(self) -> list[float]:
-        return [r.cd2 for r in self.records]
 
 
 @dataclass
@@ -102,32 +83,38 @@ class RefineResult:
 
 
 class _Run:
-    """Best-so-far and trace bookkeeping common to all refiners."""
+    """The epoch loop common to all refiners.
 
-    def __init__(self, algorithm: str, cache: DiscrepancyCache, epsilon: float):
+    ``loop`` calls ``epoch()`` up to ``max_epochs`` times.  The body moves the
+    design in ``self.cache`` (or replaces the cache), or returns a termination
+    reason, which ends the run before that epoch is recorded.  Each recorded
+    epoch refreshes the best design so far, and the run has converged when
+    CD2 changed by less than ``epsilon`` over the epoch.
+    """
+
+    def __init__(self, cache: DiscrepancyCache):
         self.cache = cache
-        self.epsilon = epsilon
-        self.best_design = cache.design
-        self.best_cd2 = cache.cd2
-        self.trace = OptimizationTrace(algorithm)
-        self.trace.append(0, cache.cd2, 0.0)
-        self.prev_cd2 = cache.cd2
-        self.t0 = time.perf_counter()
 
-    def end_epoch(self, epoch: int) -> bool:
-        """Record the epoch, refresh the best design, return convergence."""
-        now = time.perf_counter()
-        self.trace.append(epoch, self.cache.cd2, now - self.t0)
-        self.t0 = now
-        if self.cache.cd2 < self.best_cd2:
-            self.best_cd2 = self.cache.cd2
-            self.best_design = self.cache.design
-        converged = abs(self.cache.cd2 - self.prev_cd2) < self.epsilon
-        self.prev_cd2 = self.cache.cd2
-        return converged
-
-    def result(self, termination: TerminationReason) -> RefineResult:
-        return RefineResult(self.best_design, self.best_cd2, self.trace, termination)
+    def loop(self, epoch, max_epochs: int, epsilon: float) -> RefineResult:
+        best_design, best_cd2 = self.cache.design, self.cache.cd2
+        trace = OptimizationTrace()
+        trace.append(0, best_cd2)
+        prev_cd2 = best_cd2
+        termination: TerminationReason = "max_epochs"
+        for step in range(1, max_epochs + 1):
+            reason = epoch()
+            if reason is not None:
+                termination = reason
+                break
+            value = self.cache.cd2
+            trace.append(step, value)
+            if value < best_cd2:
+                best_design, best_cd2 = self.cache.design, value
+            if abs(value - prev_cd2) < epsilon:
+                termination = "converged"
+                break
+            prev_cd2 = value
+        return RefineResult(best_design, best_cd2, trace, termination)
 
 
 def _clamp(v: float) -> float:
@@ -142,17 +129,14 @@ def cgd(init, config: RefinerConfig | None = None) -> RefineResult:
     """
     config = config or RefinerConfig()
     cache = DiscrepancyCache(init)
-    run = _Run("cgd", cache, config.epsilon)
-    termination: TerminationReason = "max_epochs"
-    for epoch in range(1, config.max_epochs + 1):
+
+    def epoch():
         for i in range(cache.n):
             for j in range(cache.s):
                 g = cache.coordinate_gradient(i, j)
                 cache.update(i, j, _clamp(cache.value_at(i, j) - config.step_size * g))
-        if run.end_epoch(epoch):
-            termination = "converged"
-            break
-    return run.result(termination)
+
+    return _Run(cache).loop(epoch, config.max_epochs, config.epsilon)
 
 
 def czg(init, config: RefinerConfig | None = None) -> RefineResult:
@@ -165,9 +149,8 @@ def czg(init, config: RefinerConfig | None = None) -> RefineResult:
     """
     config = config or RefinerConfig()
     cache = DiscrepancyCache(init)
-    run = _Run("czg", cache, config.epsilon)
-    termination: TerminationReason = "max_epochs"
-    for epoch in range(1, config.max_epochs + 1):
+
+    def epoch():
         for i in range(cache.n):
             for j in range(cache.s):
                 old = cache.value_at(i, j)
@@ -175,10 +158,8 @@ def czg(init, config: RefinerConfig | None = None) -> RefineResult:
                 after = cache.update(i, j, cache.zero_gradient_value(i, j, config.t_max))
                 if config.guarded and after > before:
                     cache.update(i, j, old)
-        if run.end_epoch(epoch):
-            termination = "converged"
-            break
-    return run.result(termination)
+
+    return _Run(cache).loop(epoch, config.max_epochs, config.epsilon)
 
 
 def cdfss(init, config: RefinerConfig | None = None) -> RefineResult:
@@ -187,6 +168,7 @@ def cdfss(init, config: RefinerConfig | None = None) -> RefineResult:
     Each epoch previews all 2ns candidates x_ij +/- delta_j (clamped) and
     commits the single lowest-CD2 move, provided it strictly improves the
     current design; otherwise the run stops with ``no_improving_move``.
+    There is no convergence test: ``epsilon`` is not used.
     """
     config = config or RefinerConfig()
     cache = DiscrepancyCache(init)
@@ -196,9 +178,8 @@ def cdfss(init, config: RefinerConfig | None = None) -> RefineResult:
         steps = np.asarray(config.column_steps, dtype=float)
         if steps.shape != (cache.s,):
             raise ValueError(f"column_steps must have length s={cache.s}")
-    run = _Run("cdfss", cache, config.epsilon)
-    termination: TerminationReason = "max_epochs"
-    for epoch in range(1, config.max_epochs + 1):
+
+    def epoch():
         base = cache.cd2
         best_move = None
         best_val = base
@@ -214,18 +195,17 @@ def cdfss(init, config: RefinerConfig | None = None) -> RefineResult:
                         best_val = candidate
                         best_move = (i, j, v)
         if best_move is None:
-            termination = "no_improving_move"
-            break
+            return "no_improving_move"
         i, j, v = best_move
         old = cache.value_at(i, j)
         if cache.update(i, j, v) >= base:
             # preview and committed CD2 can differ by ~1 ulp; treat a
             # non-improving commit as no improving move and roll back
             cache.update(i, j, old)
-            termination = "no_improving_move"
-            break
-        run.end_epoch(epoch)
-    return run.result(termination)
+            return "no_improving_move"
+
+    # an epsilon of 0 turns the convergence test off
+    return _Run(cache).loop(epoch, config.max_epochs, 0.0)
 
 
 def gradient_descent(init, config: RefinerConfig | None = None) -> RefineResult:
@@ -235,26 +215,13 @@ def gradient_descent(init, config: RefinerConfig | None = None) -> RefineResult:
     contract as the coordinate methods.
     """
     config = config or RefinerConfig()
-    x = as_design_matrix(init).copy()
-    trace = OptimizationTrace("gd")
-    value = cd2(x)
-    trace.append(0, value, 0.0)
-    best_x, best_val, prev = x.copy(), value, value
-    termination: TerminationReason = "max_epochs"
-    t0 = time.perf_counter()
-    for epoch in range(1, config.max_epochs + 1):
-        x = np.clip(x - config.step_size * cd2_gradient(x), 0.0, 1.0)
-        value = cd2(x)
-        now = time.perf_counter()
-        trace.append(epoch, value, now - t0)
-        t0 = now
-        if value < best_val:
-            best_val, best_x = value, x.copy()
-        if abs(value - prev) < config.epsilon:
-            termination = "converged"
-            break
-        prev = value
-    return RefineResult(best_x, best_val, trace, termination)
+    run = _Run(DiscrepancyCache(init))
+
+    def epoch():
+        x = run.cache.design
+        run.cache = DiscrepancyCache(np.clip(x - config.step_size * cd2_gradient(x), 0.0, 1.0))
+
+    return run.loop(epoch, config.max_epochs, config.epsilon)
 
 
 _REFINERS = {"cgd": cgd, "czg": czg, "cdfss": cdfss}
@@ -269,9 +236,8 @@ def refine_pipeline(
 
     The best TA lattice design is embedded at (l - 0.5)/q and handed to the
     chosen refiner; the result CD2 never exceeds the embedded TA value.  The
-    refiner trace starts at the TA design (epoch 0).
+    refiner trace starts at the TA design (step 0).
     """
     if refiner not in _REFINERS:
         raise ValueError(f"unknown refiner {refiner!r}; expected one of {sorted(_REFINERS)}")
-    ta_result: TaResult = ta_optimize(ta_config)
-    return _REFINERS[refiner](embed(ta_result.design), refiner_config)
+    return _REFINERS[refiner](embed(ta_optimize(ta_config).design), refiner_config)

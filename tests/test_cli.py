@@ -126,13 +126,14 @@ class TestConstruct:
         assert design.min() >= 0.0 and design.max() <= 1.0
         assert float(stdout.strip()) <= 0.037
 
-    def test_pipeline_writes_everything(self, capsys, tmp_path):
+    @pytest.mark.parametrize("algo", ["ta", "ta+cgd"])
+    def test_pipeline_writes_everything(self, capsys, tmp_path, algo):
         out = tmp_path / "d.csv"
         trace = tmp_path / "t.csv"
         proj = tmp_path / "p.csv"
         code, stdout, _ = run(
             capsys, "construct", "--n", "6", "--q", "6", "--s", "3",
-            "--algo", "ta+cgd", "--seed", "1", "--stages", "3", "--probes", "20",
+            "--algo", algo, "--seed", "1", "--stages", "3", "--probes", "20",
             "--iters-per-stage", "50", "--max-epochs", "20",
             "--out", str(out), "--trace", str(trace), "--projections", str(proj),
         )
@@ -144,8 +145,9 @@ class TestConstruct:
         from unidesign import cd2
 
         assert printed == pytest.approx(cd2(design), abs=1e-9)
-        rows = trace.read_text().strip().splitlines()
-        assert len(rows) >= 2 and len(rows[0].split(",")) == 3
+        rows = [r.split(",") for r in trace.read_text().strip().splitlines()]
+        assert len(rows) >= 2 and all(len(r) == 3 for r in rows)  # step,cd2,seconds
+        assert rows[0][0] == "0"
         manifest = json.loads((tmp_path / "d.manifest.json").read_text())
         assert manifest["result"]["cd2"] == pytest.approx(printed, abs=1e-9)
         proj_rows = proj.read_text().strip().splitlines()
@@ -192,6 +194,18 @@ class TestConstruct:
                          "--init", str(tmp_path / "missing.csv"),
                          "--out", str(tmp_path / "r.csv"))
         assert code == 3
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--delta", "nan"), ("--delta", "inf"), ("--epsilon", "nan"), ("--delta-j", "nan"),
+    ])
+    def test_non_finite_refiner_setting_exit_2(self, capsys, tmp_path, flag, value):
+        init = tmp_path / "i.csv"
+        write_matrix_csv(str(init), np.random.default_rng(5).random((4, 2)))
+        out = tmp_path / "r.csv"
+        code, _, _ = run(capsys, "construct", "--algo", "cgd", "--init", str(init),
+                         "--max-epochs", "3", flag, value, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
 
     def test_ta_requires_shape(self, capsys, tmp_path):
         code, _, err = run(capsys, "construct", "--algo", "ta",
@@ -304,6 +318,17 @@ class TestBench:
         assert "--reps" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("basis", ["", "poly3", "poly0,poly9"])
+    def test_unknown_basis_exit_2(self, capsys, tmp_path, basis):
+        design = tmp_path / "d.csv"
+        write_matrix_csv(str(design), np.random.default_rng(0).random((8, 3)))
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "bench", "--fn", "const", "--design", str(design),
+                           "--basis", basis, "--test-points", "5", "--out", str(out))
+        assert code == 2
+        assert "--basis" in err
+        assert not out.exists()
+
     def test_zero_test_points_exit_2(self, capsys, tmp_path):
         design = tmp_path / "d.csv"
         write_matrix_csv(str(design), np.random.default_rng(0).random((8, 3)))
@@ -313,6 +338,27 @@ class TestBench:
         assert code == 2
         assert "--test-points" in err
         assert not out.exists()
+
+
+_TINY_TA = ["construct", "--algo", "ta", "--n", "4", "--q", "4", "--s", "2",
+            "--stages", "1", "--probes", "2", "--iters-per-stage", "5"]
+_TINY_SAMPLE = ["sample", "--kind", "lhs", "--n", "4", "--s", "2"]
+_TINY_BENCH = ["bench", "--fn", "const", "--sampler", "lhs", "--reps", "1",
+               "--n", "6", "--s", "2", "--test-points", "5"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (_TINY_TA, "--out"), (_TINY_TA, "--trace"), (_TINY_TA, "--projections"),
+    (_TINY_TA, "--manifest"), (_TINY_SAMPLE, "--out"), (_TINY_SAMPLE, "--manifest"),
+    (_TINY_BENCH, "--out"),
+], ids=["construct-out", "construct-trace", "construct-projections", "construct-manifest",
+        "sample-out", "sample-manifest", "bench-out"])
+def test_unwritable_output_exit_2(capsys, tmp_path, argv, flag):
+    path = tmp_path / "nodir" / "x.csv"
+    out = [] if flag == "--out" else ["--out", str(tmp_path / "ok.csv")]
+    code, _, err = run(capsys, *argv, *out, flag, str(path))
+    assert code == 2
+    assert str(path) in err
 
 
 def test_usage_error_exit_code():
@@ -370,11 +416,11 @@ _construct = _argv(
     # small budgets keep each example cheap
     _opt("--stages", range(1, 4), (0,)), _opt("--probes", range(1, 6), (0,)),
     _opt("--iters-per-stage", range(1, 21), (0,)), _opt("--max-epochs", range(1, 4), (-1, 0)),
-    _opt("--delta", [0.01, 0.1, 0, "nan"], (-1,)), _opt("--t-max", (1, 2), (0,)),
+    _opt("--delta", [0.01, 0.1, 0], (-1, "nan")), _opt("--t-max", (1, 2), (0,)),
     _pick([[], ["--delta-j", "0.05"]], (["--delta-j", v] for v in ("0,1", "-1", "a"))),
     _pick([[], ["--guarded"]]),
     _pick([[], ["--trace", "@t.csv"], ["--projections", "@p.csv"]]),
-    _opt("--out", ["@out.csv"]),
+    _opt("--out", ["@out.csv"], ["@nodir/out.csv"]),
 )
 _evaluate = _argv(
     "evaluate", _opt("--design", [f"@{name}" for name in _DESIGN_FILES]),
@@ -382,7 +428,8 @@ _evaluate = _argv(
 )
 _sample = _argv(
     "sample", _opt("--kind", ["lhd", "lhs", "mlhs", "utype"]),
-    _N_Q, _opt("--s", range(1, 5), (-1, 0)), _SEED, _opt("--out", ["@out.csv"]),
+    _N_Q, _opt("--s", range(1, 5), (-1, 0)), _SEED,
+    _opt("--out", ["@out.csv"], ["@nodir/out.csv"]),
 )
 _bench = _argv(
     "bench", _opt("--fn", ["wood", "camelback", "const"]),
@@ -395,7 +442,8 @@ _bench = _argv(
     ),
     _opt("--reps", (1, 2), (-1, 0)),
     _opt("--basis", ["poly0", "poly1", "poly0,poly2"], ["poly7", ""]),
-    _opt("--test-points", range(1, 21), (-1, 0)), _SEED, _opt("--out", ["@out.json"]),
+    _opt("--test-points", range(1, 21), (-1, 0)), _SEED,
+    _opt("--out", ["@out.json"], ["@nodir/out.json"]),
 )
 
 

@@ -84,6 +84,7 @@ class TestCzg:
         three = czg(init, RefinerConfig(max_epochs=5, t_max=3))
         assert_refine_invariants(one, init)
         assert_refine_invariants(three, init)
+        assert not np.array_equal(one.design, three.design)
 
 
 class TestCdfss:
@@ -127,6 +128,13 @@ class TestCdfss:
 
 
 class TestGradientDescent:
+    def test_zero_step_is_a_noop(self):
+        init = random_design(5, 3, seed=0)
+        result = gradient_descent(init, RefinerConfig(step_size=0.0))
+        assert np.array_equal(result.design, init)
+        assert result.termination == "converged"
+        assert len(result.trace.records) == 2  # initial + first epoch
+
     def test_single_point_descends_to_center(self):
         result = gradient_descent([[0.2]], RefinerConfig(max_epochs=3000))
         assert result.design[0, 0] == pytest.approx(0.5, abs=1e-3)
@@ -183,3 +191,11 @@ def test_config_validation():
         RefinerConfig(t_max=0)
     with pytest.raises(ValueError):
         RefinerConfig(column_steps=[0.1, -0.2])
+    # NaN fails every comparison, so each bound must reject it explicitly
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            RefinerConfig(step_size=bad)
+        with pytest.raises(ValueError):
+            RefinerConfig(column_steps=[0.1, bad])
+    with pytest.raises(ValueError):
+        RefinerConfig(epsilon=float("nan"))
