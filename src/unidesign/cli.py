@@ -131,6 +131,20 @@ def _write_projections_csv(path: str, design: np.ndarray) -> None:
                     writer.writerow([a, b, f"{design[i, a]:.17g}", f"{design[i, b]:.17g}"])
 
 
+def _check_writable(*paths) -> None:
+    """Raise OSError unless every given output path can be opened for writing.
+
+    Called before any work, so that a bad path neither wastes a run nor leaves
+    some outputs written without the others.  Leaves every file as it was.
+    """
+    for path in filter(None, paths):
+        existed = os.path.exists(path)
+        with open(path, "a"):
+            pass
+        if not existed:
+            os.remove(path)
+
+
 def _manifest_path(out: str) -> str:
     base, _ = os.path.splitext(out)
     return base + ".manifest.json"
@@ -192,6 +206,8 @@ def _cmd_construct(args, argv) -> int:
         if getattr(args, name) in (None, ""):
             print(f"error: --algo {args.algo} requires --{name}", file=sys.stderr)
             return EXIT_USAGE
+    _check_writable(args.out, args.trace, args.projections,
+                    args.manifest or _manifest_path(args.out))
     if from_ta:
         ta_config = TaConfig(
             n=args.n, q=args.q, s=args.s, alpha=args.alpha, stages=args.stages,
@@ -242,10 +258,11 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sample(args, argv) -> int:
     t0 = time.perf_counter()
+    if args.kind == "utype" and args.q is None:
+        print("error: --kind utype requires --q", file=sys.stderr)
+        return EXIT_USAGE
+    _check_writable(args.out, args.manifest or _manifest_path(args.out))
     if args.kind == "utype":
-        if args.q is None:
-            print("error: --kind utype requires --q", file=sys.stderr)
-            return EXIT_USAGE
         matrix = random_utype(args.n, args.q, args.s, args.seed).levels
         integer = True
     elif args.kind == "lhd":
@@ -282,6 +299,7 @@ def _cmd_bench(args, argv) -> int:
         print(f"error: --basis must be a comma list of {', '.join(known)}, got {args.basis!r}",
               file=sys.stderr)
         return EXIT_USAGE
+    _check_writable(args.out)
 
     designs: list[np.ndarray] = []
     if args.design:

@@ -16,8 +16,10 @@ incremental paths well conditioned.
 ``DiscrepancyCache`` stores the per-row f1 products and the full pairwise f2
 kernel so that changing one coordinate re-evaluates CD2 after recomputing a
 single kernel row/column.  Preview methods score a candidate change without
-mutating the cache; committed updates recompute the affected entries from the
-design values, so the cache never drifts from a from-scratch evaluation.
+mutating the cache.  A coordinate update recomputes the affected entries from
+the design values and re-sums, so it never drifts from a from-scratch
+evaluation; a column swap is committed in O(n) by rescaling two kernel rows,
+and ``resum`` clears the round-off such commits leave in the sums.
 """
 
 from __future__ import annotations
@@ -218,6 +220,10 @@ class DiscrepancyCache:
     multiplicative deltas, so repeated updates cannot drift); it costs O(ns)
     for the row plus O(n^2) to re-sum the kernel.  The ``preview_*`` methods
     score candidate changes in O(n) / O(ns) without mutating any state.
+    ``apply_column_swap`` commits a swap in O(n) from its preview's terms and
+    returns exactly the previewed value; its sums carry round-off from one
+    commit to the next, which ``resum`` (O(n^2) additions) clears.
+    Threshold accepting calls ``resum`` at the end of every stage.
 
     Single-writer: concurrent mutation is not supported.
     """
@@ -232,9 +238,10 @@ class DiscrepancyCache:
         self._const = (13.0 / 12.0) ** s
         self._rp = np.prod(_f1(self._a), axis=1)
         self._kernel = _kernel(x, self._a)
-        self._sum_rp = float(self._rp.sum())
-        self._sum_kernel = float(self._kernel.sum())
-        self.cd2 = self._combine(self._sum_rp, self._sum_kernel)
+        # (r1, r2, col) and _swap_terms of the last swap preview, while the
+        # design has not changed since
+        self._previewed = None, None
+        self.resum()
 
     def _combine(self, sum_rp: float, sum_kernel: float) -> float:
         return self._const - (2.0 / self.n) * sum_rp + sum_kernel / self.n**2
@@ -266,16 +273,14 @@ class DiscrepancyCache:
     def update(self, i: int, j: int, value: float) -> float:
         """Set x_ij = value, refresh the affected cache entries, return CD2."""
         self._check_update(i, j, value)
+        self._previewed = None, None
         self._x[i, j] = value
         self._a[i, j] = abs(value - 0.5)
         rp, row = _kernel_row(self._x, self._a, i, j, value)
         self._rp[i] = rp
         self._kernel[i, :] = row
         self._kernel[:, i] = row
-        self._sum_rp = float(self._rp.sum())
-        self._sum_kernel = float(self._kernel.sum())
-        self.cd2 = self._combine(self._sum_rp, self._sum_kernel)
-        return self.cd2
+        return self.resum()
 
     def preview_update(self, i: int, j: int, value: float) -> float:
         """CD2 the design would have with x_ij = value; no state change."""
@@ -288,44 +293,96 @@ class DiscrepancyCache:
         d_kernel = 2.0 * float(row.sum() - old_row.sum()) - (row[i] - old_row[i])
         return self._combine(self._sum_rp + d_rp, self._sum_kernel + d_kernel)
 
-    def preview_column_swap(self, r1: int, r2: int, col: int) -> float:
-        """CD2 after exchanging x_{r1,col} and x_{r2,col}; no state change.
+    def _swap_terms(self, r1: int, r2: int, col: int):
+        """Sum deltas and f2 ratio vectors of exchanging x_{r1,col} and x_{r2,col}.
 
-        O(n): the changed kernel rows are obtained by rescaling the cached
-        rows with f2 factor ratios (all factors >= 1).
+        Returns None for the no-op u == v, else ``(d_rp, d_kernel, f1_ratio,
+        g_ratio, ratio, inv)``: the changes of the row-product and kernel sums,
+        the factors f1(v)/f1(u) and f2(v, v)/f2(u, u) of row r1's f1 product and
+        diagonal entry (row r2 takes their inverses), and the factors
+        f2(v, x_kcol)/f2(u, x_kcol) and their inverses that rescale kernel rows
+        r1 and r2.  O(n); every f1 and f2 value is >= 1.
         """
-        x, kernel = self._x, self._kernel
-        u = x[r1, col]
-        v = x[r2, col]
+        x, a, kernel = self._x, self._a, self._kernel
+        u, v = x.item(r1, col), x.item(r2, col)
         if u == v:
-            return self.cd2
-        au, av = abs(u - 0.5), abs(v - 0.5)
-        f1u, f1v = _f1(au), _f1(av)
-        d_rp = self._rp[r1] * (f1v / f1u - 1.0) + self._rp[r2] * (f1u / f1v - 1.0)
+            return None
+        au, av = a.item(r1, col), a.item(r2, col)
+        f1_ratio = _f1(av) / _f1(au)
+        rp = self._rp
+        d_rp = rp.item(r1) * (f1_ratio - 1.0) + rp.item(r2) * (1.0 / f1_ratio - 1.0)
 
+        # the ratios are taken of 2 * f2, which needs fewer array operations
         w = x[:, col]
-        aw = self._a[:, col]
-        f2_u = _f2(u, au, w, aw)
-        f2_v = _f2(v, av, w, aw)
+        aw2 = a[:, col] + 2.0
+        f2_u = (aw2 + au) - np.abs(w - u)
+        f2_v = (aw2 + av) - np.abs(w - v)
         ratio = f2_v / f2_u
         inv = f2_u / f2_v
-        # off-diagonal deltas for both rows; the (r1, r2) entry and the
-        # diagonals are corrected separately
-        d1 = float(kernel[r1] @ ratio) - float(kernel[r1].sum())
-        d1 -= kernel[r1, r1] * (ratio[r1] - 1.0) + kernel[r1, r2] * (ratio[r2] - 1.0)
-        d2 = float(kernel[r2] @ inv) - float(kernel[r2].sum())
-        d2 -= kernel[r2, r2] * (inv[r2] - 1.0) + kernel[r2, r1] * (inv[r1] - 1.0)
-        gu, gv = 1.0 + au, 1.0 + av
-        d_diag = kernel[r1, r1] * (gv / gu - 1.0) + kernel[r2, r2] * (gu / gv - 1.0)
-        d_kernel = 2.0 * (d1 + d2) + d_diag
+        # off-diagonal deltas of both rows: the (r1, r2) entry keeps its
+        # value (f2 is symmetric) and the diagonals change by g_ratio
+        k1, k2 = kernel[r1], kernel[r2]
+        k11, k12, k22 = k1.item(r1), k1.item(r2), k2.item(r2)
+        d1 = float(k1 @ (ratio - 1.0))
+        d1 -= k11 * (ratio.item(r1) - 1.0) + k12 * (ratio.item(r2) - 1.0)
+        d2 = float(k2 @ (inv - 1.0))
+        d2 -= k22 * (inv.item(r2) - 1.0) + k12 * (inv.item(r1) - 1.0)
+        g_ratio = (1.0 + av) / (1.0 + au)
+        d_diag = k11 * (g_ratio - 1.0) + k22 * (1.0 / g_ratio - 1.0)
+        return d_rp, 2.0 * (d1 + d2) + d_diag, f1_ratio, g_ratio, ratio, inv
+
+    def preview_column_swap(self, r1: int, r2: int, col: int) -> float:
+        """CD2 after exchanging x_{r1,col} and x_{r2,col}; no state change (O(n))."""
+        terms = self._swap_terms(r1, r2, col)
+        self._previewed = (r1, r2, col), terms
+        if terms is None:
+            return self.cd2
+        d_rp, d_kernel = terms[:2]
         return self._combine(self._sum_rp + d_rp, self._sum_kernel + d_kernel)
 
     def apply_column_swap(self, r1: int, r2: int, col: int) -> float:
-        """Commit the exchange of x_{r1,col} and x_{r2,col}, return CD2."""
-        u = self._x[r1, col]
-        v = self._x[r2, col]
-        self.update(r1, col, v)
-        return self.update(r2, col, u)
+        """Commit the exchange of x_{r1,col} and x_{r2,col}, return CD2 (O(n)).
+
+        Rescales kernel rows r1 and r2 by the preview's f2 ratios and advances
+        the sums by the preview's deltas, so it returns exactly the value
+        ``preview_column_swap`` gave for the same swap.  The terms of a
+        preview of this swap made just before are reused, not recomputed.
+        """
+        key, terms = self._previewed
+        if key != (r1, r2, col):
+            terms = self._swap_terms(r1, r2, col)
+        self._previewed = None, None
+        if terms is None:
+            return self.cd2
+        d_rp, d_kernel, f1_ratio, g_ratio, ratio, inv = terms
+        x, a, kernel = self._x, self._a, self._kernel
+        k11, k22, k12 = kernel[r1, r1], kernel[r2, r2], kernel[r1, r2]
+        x[r1, col], x[r2, col] = x[r2, col], x[r1, col]
+        a[r1, col], a[r2, col] = a[r2, col], a[r1, col]
+        self._rp[r1] *= f1_ratio
+        self._rp[r2] /= f1_ratio
+        kernel[r1] *= ratio
+        kernel[r2] *= inv
+        kernel[r1, r1] = k11 * g_ratio
+        kernel[r2, r2] = k22 / g_ratio
+        kernel[r1, r2] = kernel[r2, r1] = k12
+        kernel[:, r1] = kernel[r1]
+        kernel[:, r2] = kernel[r2]
+        self._sum_rp += d_rp
+        self._sum_kernel += d_kernel
+        self.cd2 = self._combine(self._sum_rp, self._sum_kernel)
+        return self.cd2
+
+    def resum(self) -> float:
+        """Re-sum the cached row products and kernel, return CD2 (O(n^2) additions).
+
+        Clears the round-off that swap commits leave in the sums; the cached
+        arrays themselves are kept, not rebuilt.
+        """
+        self._sum_rp = float(self._rp.sum())
+        self._sum_kernel = float(self._kernel.sum())
+        self.cd2 = self._combine(self._sum_rp, self._sum_kernel)
+        return self.cd2
 
     def coordinate_gradient(self, i: int, j: int) -> float:
         """dCD2/dx_ij at the cached design (O(n + s))."""

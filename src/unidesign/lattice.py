@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrepancy import DiscrepancyCache
+from .discrepancy import DiscrepancyCache, cd2
 
 __all__ = [
     "UTypeDesign",
@@ -93,10 +93,27 @@ def embed(design: UTypeDesign) -> np.ndarray:
 
 
 def _draw_swap(rng: np.random.Generator, n: int, s: int):
-    """Random (column, row1, row2) with distinct rows; shared by all TA paths."""
+    """One random (column, row1, row2) with distinct rows.
+
+    Draws the swap of ``ta_neighbor`` and the ``threshold_sequence`` probes;
+    ``ta_optimize`` draws its swaps a stage at a time with ``_draw_swaps``.
+    """
     col = int(rng.integers(s))
     r1, r2 = rng.choice(n, size=2, replace=False)
     return col, int(r1), int(r2)
+
+
+def _draw_swaps(rng: np.random.Generator, n: int, s: int, size: int):
+    """``size`` random (column, row1, row2) triples with distinct rows, as ints.
+
+    Row 2 is drawn from the n - 1 rows other than row 1, by shifting draws
+    from 0..n-2 past row 1, so each distinct pair is equally likely.
+    """
+    cols = rng.integers(s, size=size)
+    rows1 = rng.integers(n, size=size)
+    rows2 = rng.integers(n - 1, size=size)
+    rows2 += rows2 >= rows1
+    return zip(cols.tolist(), rows1.tolist(), rows2.tolist())
 
 
 def ta_neighbor(design: UTypeDesign, rng: np.random.Generator) -> UTypeDesign:
@@ -126,14 +143,19 @@ def threshold_sequence(
         raise ValueError("alpha must lie in (0, 1)")
     if stages < 1 or probes < 1:
         raise ValueError("stages and probes must be >= 1")
-    cache = DiscrepancyCache(embed(design))
+    return _threshold_schedule(DiscrepancyCache(embed(design)), alpha, stages, probes, rng)
+
+
+def _threshold_schedule(cache: DiscrepancyCache, alpha: float, stages: int, probes: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """``threshold_sequence`` from a cache of the design's embedding."""
     lo = np.inf
     hi = -np.inf
     for _ in range(probes):
-        if design.n < 2:
+        if cache.n < 2:
             val = cache.cd2
         else:
-            col, r1, r2 = _draw_swap(rng, design.n, design.s)
+            col, r1, r2 = _draw_swap(rng, cache.n, cache.s)
             val = cache.preview_column_swap(r1, r2, col)
         lo = min(lo, val)
         hi = max(hi, val)
@@ -211,23 +233,24 @@ class TaResult:
 def ta_optimize(config: TaConfig, schedule=None) -> TaResult:
     """Threshold-accepting search for a low-CD2 U-type design.
 
-    Tracks and returns the best design ever visited.  The trace records the
-    initial value and the CD2 after every accepted move.  Bit-reproducible
-    for a fixed config.  ``schedule`` overrides the data-driven threshold
-    sequence (used for forcing pure local search in tests).
+    Tracks and returns the best design ever visited; ``TaResult.cd2`` is its
+    from-scratch CD2.  The trace records the initial value and the CD2 after
+    every accepted move.  Each swap is scored and committed in O(n) by the
+    cache, which re-sums its kernel at the end of every stage.
+    Bit-reproducible for a fixed config.  ``schedule`` overrides the
+    data-driven threshold sequence (used for forcing pure local search in
+    tests).
     """
     rng = np.random.default_rng(config.seed)
     if config.initial is not None:
         current = config.initial
     else:
         current = random_utype(config.n, config.q, config.s, rng)
-    if schedule is None:
-        schedule = threshold_sequence(
-            current, config.alpha, config.stages, config.probes, rng
-        )
-    schedule = np.asarray(schedule, dtype=float)
-
     cache = DiscrepancyCache(embed(current))
+    if schedule is None:
+        schedule = _threshold_schedule(cache, config.alpha, config.stages, config.probes, rng)
+    schedule = np.asarray(schedule, dtype=float).tolist()
+
     levels = current.levels.copy()
     best_levels = levels.copy()
     best_cd2 = cache.cd2
@@ -239,15 +262,16 @@ def ta_optimize(config: TaConfig, schedule=None) -> TaResult:
 
     iteration = 0
     for threshold in schedule:
-        for _ in range(config.iterations_per_stage):
+        for col, r1, r2 in _draw_swaps(rng, config.n, config.s, config.iterations_per_stage):
             iteration += 1
-            col, r1, r2 = _draw_swap(rng, config.n, config.s)
             candidate = cache.preview_column_swap(r1, r2, col)
             if candidate - cache.cd2 <= threshold:
                 cache.apply_column_swap(r1, r2, col)
-                levels[[r1, r2], col] = levels[[r2, r1], col]
+                levels[r1, col], levels[r2, col] = levels[r2, col], levels[r1, col]
                 trace.append(iteration, cache.cd2)
                 if cache.cd2 < best_cd2:
                     best_cd2 = cache.cd2
                     best_levels = levels.copy()
-    return TaResult(UTypeDesign(best_levels, config.q), best_cd2, trace)
+        cache.resum()
+    best = UTypeDesign(best_levels, config.q)
+    return TaResult(best, cd2(embed(best)), trace)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unidesign import cli
 from unidesign.cli import main, read_design_csv, write_matrix_csv
 from conftest import FIXTURES, UD18X7_CD2
 
@@ -359,6 +360,17 @@ def test_unwritable_output_exit_2(capsys, tmp_path, argv, flag):
     code, _, err = run(capsys, *argv, *out, flag, str(path))
     assert code == 2
     assert str(path) in err
+    # every output path is checked before any work, so nothing is written
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_unwritable_out_runs_no_fit(capsys, tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a Kriging fit ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "evaluate_mse", fail)
+    code, _, _ = run(capsys, *_TINY_BENCH, "--out", str(tmp_path / "nodir" / "r.json"))
+    assert code == 2
 
 
 def test_usage_error_exit_code():

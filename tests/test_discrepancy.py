@@ -105,6 +105,15 @@ class TestGradient:
         assert np.array_equal(g1, g2)
 
 
+def assert_matches_fresh(cache: DiscrepancyCache, rel: float = 1e-12) -> None:
+    """The cache's arrays and value agree with a cache built from its design."""
+    fresh = DiscrepancyCache(cache.design)
+    assert np.allclose(cache.row_products, fresh.row_products, rtol=rel, atol=0.0)
+    assert np.allclose(cache.kernel, fresh.kernel, rtol=rel, atol=0.0)
+    assert np.array_equal(cache.kernel, cache.kernel.T)
+    assert cache.cd2 == pytest.approx(fresh.cd2, rel=rel)
+
+
 class TestCache:
     def test_center_point_contents(self):
         cache = DiscrepancyCache([[0.5]])
@@ -165,6 +174,78 @@ class TestCache:
         previewed = cache.preview_column_swap(2, 7, 3)
         committed = cache.apply_column_swap(2, 7, 3)
         assert previewed == pytest.approx(committed, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(2, 12), s=st.integers(1, 5))
+    def test_swap_commit_returns_preview_exactly(self, seed, n, s):
+        rng = np.random.default_rng(seed)
+        cache = DiscrepancyCache(rng.random((n, s)))
+        for k in range(20):
+            r1, r2 = (int(r) for r in rng.choice(n, size=2, replace=False))
+            col = int(rng.integers(s))
+            previewed = cache.preview_column_swap(r1, r2, col)
+            if k % 2:
+                # another preview in between: the commit recomputes its terms
+                cache.preview_column_swap(r2, r1, (col + 1) % s)
+            assert cache.apply_column_swap(r1, r2, col) == previewed
+            assert cache.cd2 == previewed
+        assert_matches_fresh(cache)
+
+    def test_swap_commit_at_kinks(self):
+        # entries at 1/2 sit on the kink of |x - 1/2|; swaps cross it both ways
+        x = np.array([[0.5, 0.1], [0.2, 0.5], [0.5, 0.9], [0.8, 0.5], [0.35, 0.5]])
+        cache = DiscrepancyCache(x)
+        for r1, r2, col in ((0, 1, 0), (2, 3, 0), (1, 0, 0), (0, 2, 1), (3, 4, 1), (4, 1, 0)):
+            previewed = cache.preview_column_swap(r1, r2, col)
+            assert cache.apply_column_swap(r1, r2, col) == previewed
+            x[[r1, r2], col] = x[[r2, r1], col]
+            assert np.array_equal(cache.design, x)
+            assert cache.cd2 == pytest.approx(cd2(x), rel=1e-13)
+        assert_matches_fresh(cache)
+
+    def test_swap_of_equal_entries_is_a_noop(self):
+        x = np.array([[0.5, 0.3], [0.5, 0.7], [0.25, 0.3]])
+        cache = DiscrepancyCache(x)
+        before = (cache.cd2, cache.row_products, cache.kernel)
+        for r1, r2, col in ((0, 1, 0), (2, 0, 1)):
+            assert cache.preview_column_swap(r1, r2, col) == before[0]
+            assert cache.apply_column_swap(r1, r2, col) == before[0]
+        assert np.array_equal(cache.design, x)
+        assert np.array_equal(cache.row_products, before[1])
+        assert np.array_equal(cache.kernel, before[2])
+
+    def test_swap_commit_does_not_call_update(self, monkeypatch):
+        cache = DiscrepancyCache(random_design(9, 4, seed=12))
+
+        def fail(*args):
+            raise AssertionError("apply_column_swap must not call update")
+
+        monkeypatch.setattr(DiscrepancyCache, "update", fail)
+        cache.apply_column_swap(1, 6, 2)
+        assert_matches_fresh(cache)
+
+    def test_swap_commit_after_update_ignores_stale_preview(self):
+        x = random_design(8, 3, seed=13)
+        cache = DiscrepancyCache(x)
+        cache.preview_column_swap(2, 5, 1)
+        cache.update(2, 1, 0.0625)
+        cache.apply_column_swap(2, 5, 1)
+        x[2, 1] = x[5, 1]
+        x[5, 1] = 0.0625
+        assert np.array_equal(cache.design, x)
+        assert_matches_fresh(cache)
+
+    def test_resum_keeps_arrays_and_refreshes_value(self):
+        rng = np.random.default_rng(14)
+        cache = DiscrepancyCache(rng.random((10, 4)))
+        for _ in range(200):
+            r1, r2 = (int(r) for r in rng.choice(10, size=2, replace=False))
+            cache.apply_column_swap(r1, r2, int(rng.integers(4)))
+        kernel = cache.kernel
+        value = cache.resum()
+        assert value == cache.cd2
+        assert np.array_equal(cache.kernel, kernel)
+        assert value == pytest.approx(cd2(cache.design), rel=1e-13)
 
     def test_update_validation(self):
         cache = DiscrepancyCache([[0.5, 0.5]])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
+from unidesign import lattice
 from unidesign import (
     DiscrepancyCache,
     TaConfig,
@@ -207,3 +209,46 @@ def test_preview_swap_used_by_ta_matches_full_recompute():
     swapped = embed(design).copy()
     swapped[[1, 5], 2] = swapped[[5, 1], 2]
     assert previewed == pytest.approx(cd2(swapped), abs=1e-12)
+
+
+class TestDrawSwaps:
+    def test_distinct_uniform_pairs_and_every_column(self):
+        # the 20 ordered pairs of distinct rows each appear ~1000 times
+        draws = list(lattice._draw_swaps(np.random.default_rng(40), 5, 3, 20_000))
+        assert all(type(v) is int for v in draws[0])
+        cols, rows1, rows2 = np.array(draws).T
+        assert set(cols.tolist()) == {0, 1, 2}
+        assert min(rows1.min(), rows2.min()) >= 0
+        counts = np.zeros((5, 5), dtype=int)
+        np.add.at(counts, (rows1, rows2), 1)
+        assert np.all(np.diag(counts) == 0)
+        assert np.all(np.abs(counts[~np.eye(5, dtype=bool)] - 1000) < 150)
+
+    def test_two_rows(self):
+        draws = list(lattice._draw_swaps(np.random.default_rng(42), 2, 4, 100))
+        assert all({r1, r2} == {0, 1} for _, r1, r2 in draws)
+
+
+def test_long_ta_run_cache_stays_exact(monkeypatch):
+    # 50k O(n) swap commits at a paper size leave the cached arrays at
+    # round-off from a rebuilt cache, and TA builds a single cache per run
+    caches = []
+
+    class RecordingCache(DiscrepancyCache):
+        def __init__(self, design):
+            super().__init__(design)
+            caches.append(self)
+
+    monkeypatch.setattr(lattice, "DiscrepancyCache", RecordingCache)
+    config = TaConfig(n=27, q=27, s=13, stages=4, iterations_per_stage=10_000, seed=0)
+    result = ta_optimize(config)
+    assert len(caches) == 1
+    cache = caches[0]
+    fresh = DiscrepancyCache(cache.design)
+    assert np.allclose(cache.row_products, fresh.row_products, rtol=1e-12, atol=0.0)
+    assert np.allclose(cache.kernel, fresh.kernel, rtol=1e-12, atol=0.0)
+    assert cache.cd2 == pytest.approx(qmc.discrepancy(cache.design, method="CD"), abs=1e-12)
+    # the last stage ended with a re-sum, so re-summing again changes nothing
+    value = cache.cd2
+    assert cache.resum() == value
+    assert result.cd2 == cd2(embed(result.design))
