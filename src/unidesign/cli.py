@@ -187,7 +187,7 @@ def _refiner_config(args, s: int) -> RefinerConfig:
         parts = [float(v) for v in args.delta_j.split(",")]
         column_steps = parts * s if len(parts) == 1 else parts
         if len(column_steps) != s:
-            raise DesignFileError(f"--delta-j needs 1 or {s} values, got {len(parts)}")
+            raise ValueError(f"--delta-j needs 1 or {s} values, got {len(parts)}")
     return RefinerConfig(
         step_size=args.delta,
         epsilon=args.epsilon,

@@ -19,7 +19,10 @@ single kernel row/column.  Preview methods score a candidate change without
 mutating the cache.  A coordinate update recomputes the affected entries from
 the design values and re-sums, so it never drifts from a from-scratch
 evaluation; a column swap is committed in O(n) by rescaling two kernel rows,
-and ``resum`` clears the round-off such commits leave in the sums.
+and ``resum`` clears the round-off such commits leave in the sums.  The
+coordinate refiners run whole epochs inside the cache: ``gradient_sweep`` and
+``zero_gradient_sweep`` are row-blocked Gauss-Seidel passes, and
+``preview_steps`` scores every fixed-step move in one pass.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ def as_design_matrix(values) -> np.ndarray:
     if x.min() < 0.0 or x.max() > 1.0:
         raise ValueError("design entries must lie in [0, 1]")
     return x
+
+
+def _clamp(v: float) -> float:
+    return min(1.0, max(0.0, v))
 
 
 def _f1(a):
@@ -79,16 +86,25 @@ def _kernel_row(x: np.ndarray, a: np.ndarray, i: int, j: int, value: float):
     return float(np.prod(_f1(ai))), row
 
 
-def _loo_terms(x: np.ndarray, a: np.ndarray, rp_i: float, kernel_row: np.ndarray,
-               i: int, j: int):
-    """Leave-one-out products at (i, j) from row i's f1 product and kernel row (O(n + s))."""
+def _loo_terms(rp_i: float, f1_ij: float, g2_prod: float, g2_ij: float,
+               kernel_row: np.ndarray, f2_column: np.ndarray):
+    """Leave-one-out products p1, p2 and kernel row at (i, j) (O(n)).
+
+    ``rp_i``, ``g2_prod`` and ``kernel_row`` are row i's products of f1, of
+    (1 + |x - 1/2|) and of f2; ``f1_ij``, ``g2_ij`` and ``f2_column`` are the
+    factors coordinate (i, j) contributes to them.
+    """
+    return rp_i / f1_ij, float(g2_prod / g2_ij), kernel_row / f2_column
+
+
+def _visit_terms(x: np.ndarray, a: np.ndarray, rp_i: float, kernel_row: np.ndarray,
+                 i: int, j: int):
+    """x_ij, column j and the leave-one-out terms at (i, j) (O(n + s))."""
     ai = a[i]
-    p1 = rp_i / _f1(ai[j])
     g2_row = 1.0 + ai
-    p2 = float(np.prod(g2_row) / g2_row[j])
-    column = x[:, j]
-    kernel_row_loo = kernel_row / _f2(x[i, j], ai[j], column, a[:, j])
-    return p1, p2, kernel_row_loo, column
+    f2_column = _f2(x[i, j], ai[j], x[:, j], a[:, j])
+    terms = _loo_terms(rp_i, _f1(ai[j]), g2_row.prod(), g2_row[j], kernel_row, f2_column)
+    return (x[i, j], x[:, j], *terms)
 
 
 def _pair_sum(x: float, sc: float, column: np.ndarray, p2: float,
@@ -157,7 +173,7 @@ def _zero_gradient_recursion(
         pair_sum = _pair_sum(xt, sc, column, p2, kernel_row_loo)
         a = -(2.0 / n) * p1 * 0.5 * sc + p2 * sc / n**2 + (2.0 / n**2) * pair_sum
         xt = a / b + 0.5
-    return min(1.0, max(0.0, xt))
+    return _clamp(xt)
 
 
 def cd2_gradient(design) -> np.ndarray:
@@ -207,8 +223,7 @@ def zero_gradient_solve(design, i: int, j: int, t_max: int = 1) -> float:
         raise ValueError("t_max must be >= 1")
     a = np.abs(x - 0.5)
     rp_i, kernel_row = _kernel_row(x, a, i, j, x[i, j])
-    p1, p2, kernel_row_loo, column = _loo_terms(x, a, rp_i, kernel_row, i, j)
-    return _zero_gradient_recursion(x[i, j], column, p1, p2, kernel_row_loo, n, t_max)
+    return _zero_gradient_recursion(*_visit_terms(x, a, rp_i, kernel_row, i, j), n, t_max)
 
 
 class DiscrepancyCache:
@@ -224,6 +239,14 @@ class DiscrepancyCache:
     returns exactly the previewed value; its sums carry round-off from one
     commit to the next, which ``resum`` (O(n^2) additions) clears.
     Threshold accepting calls ``resum`` at the end of every stage.
+
+    ``gradient_sweep`` and ``zero_gradient_sweep`` run one refiner epoch and
+    leave every array and value exactly as one ``coordinate_gradient`` or
+    ``zero_gradient_value`` plus one ``update`` per visit would.  A visit is
+    O(ns) elementwise numpy work on the active row's s x n f2 factors, in a
+    few calls, and an unguarded sweep re-sums once per epoch (O(n^2));
+    guarded CZG re-sums after every visit.  ``preview_steps`` scores all 2ns
+    fixed-step moves in one O(n^2 s) pass with O(n^2) extra memory.
 
     Single-writer: concurrent mutation is not supported.
     """
@@ -259,6 +282,11 @@ class DiscrepancyCache:
     def kernel(self) -> np.ndarray:
         return self._kernel.copy()
 
+    @property
+    def term_scale(self) -> float:
+        """Sum of the magnitudes of CD2's three terms, the scale of its round-off."""
+        return self._const + (2.0 / self.n) * self._sum_rp + self._sum_kernel / self.n**2
+
     def value_at(self, i: int, j: int) -> float:
         return float(self._x[i, j])
 
@@ -292,6 +320,40 @@ class DiscrepancyCache:
         d_rp = rp - self._rp[i]
         d_kernel = 2.0 * float(row.sum() - old_row.sum()) - (row[i] - old_row[i])
         return self._combine(self._sum_rp + d_rp, self._sum_kernel + d_kernel)
+
+    def preview_steps(self, steps) -> tuple[np.ndarray, np.ndarray]:
+        """Score every move x_ij -> clip(x_ij +/- steps[j]) in one pass; no state change.
+
+        Returns ``(targets, values)``, both n x s x 2 with the + move first:
+        the moved coordinate and the CD2 the move gives, ``inf`` where clamping
+        leaves x_ij unchanged.  Column by column, the kernel divided by the old
+        f2 factors and multiplied by the new ones gives every candidate row's
+        sum, so the pass costs O(n^2 s) work in O(n^2) extra memory.  Its values
+        agree with ``preview_update`` up to round-off, not bit for bit.
+        """
+        x, a, kernel, rp = self._x, self._a, self._kernel, self._rp
+        targets = np.empty((self.n, self.s, 2))
+        values = np.empty((self.n, self.s, 2))
+        row_sums = kernel.sum(axis=1)
+        diagonal = kernel.diagonal()
+        for j in range(self.s):
+            u, au = x[:, j], a[:, j]
+            loo = kernel / _f2(u[:, None], au[:, None], u, au)
+            p1 = rp / _f1(au)
+            for d, direction in enumerate((1.0, -1.0)):
+                v = np.clip(u + direction * steps[j], 0.0, 1.0)
+                av = np.abs(v - 0.5)
+                f2_new = _f2(v[:, None], av[:, None], u, au)
+                # the diagonal pairs the moved point with itself
+                g2_new = 1.0 + av
+                np.fill_diagonal(f2_new, g2_new)
+                new_sums = np.einsum("ik,ik->i", loo, f2_new)
+                d_kernel = 2.0 * (new_sums - row_sums) - (loo.diagonal() * g2_new - diagonal)
+                d_rp = p1 * _f1(av) - rp
+                cd2 = self._combine(self._sum_rp + d_rp, self._sum_kernel + d_kernel)
+                targets[:, j, d] = v
+                values[:, j, d] = np.where(v == u, np.inf, cd2)
+        return targets, values
 
     def _swap_terms(self, r1: int, r2: int, col: int):
         """Sum deltas and f2 ratio vectors of exchanging x_{r1,col} and x_{r2,col}.
@@ -386,20 +448,78 @@ class DiscrepancyCache:
 
     def coordinate_gradient(self, i: int, j: int) -> float:
         """dCD2/dx_ij at the cached design (O(n + s))."""
-        p1, p2, kernel_row_loo, column = _loo_terms(
-            self._x, self._a, self._rp[i], self._kernel[i], i, j
-        )
-        return _coordinate_gradient(
-            self._x[i, j], column, p1, p2, kernel_row_loo, self.n
-        )
+        terms = _visit_terms(self._x, self._a, self._rp[i], self._kernel[i], i, j)
+        return _coordinate_gradient(*terms, self.n)
 
     def zero_gradient_value(self, i: int, j: int, t_max: int = 1) -> float:
         """Stationarity recursion at (i, j) from cached state; clamped."""
         if t_max < 1:
             raise ValueError("t_max must be >= 1")
-        p1, p2, kernel_row_loo, column = _loo_terms(
-            self._x, self._a, self._rp[i], self._kernel[i], i, j
+        terms = _visit_terms(self._x, self._a, self._rp[i], self._kernel[i], i, j)
+        return _zero_gradient_recursion(*terms, self.n, t_max)
+
+    def gradient_sweep(self, step_size: float) -> float:
+        """One CGD epoch: x_ij -= step_size * dCD2/dx_ij at every (i, j), return CD2.
+
+        Visits the coordinates in row-major order with in-place updates and
+        clamps each new value into [0, 1]; see ``_sweep`` for the cost.
+        """
+        n = self.n
+        return self._sweep(
+            lambda x, *terms: _clamp(x - step_size * _coordinate_gradient(x, *terms, n))
         )
-        return _zero_gradient_recursion(
-            self._x[i, j], column, p1, p2, kernel_row_loo, self.n, t_max
+
+    def zero_gradient_sweep(self, t_max: int = 1, guarded: bool = False) -> float:
+        """One CZG epoch: x_ij jumps to ``zero_gradient_value`` at every (i, j), return CD2.
+
+        Visits the coordinates in row-major order with in-place updates.  With
+        ``guarded`` a visit that increases CD2 is rolled back.
+        """
+        if t_max < 1:
+            raise ValueError("t_max must be >= 1")
+        n = self.n
+        return self._sweep(
+            lambda x, *terms: _zero_gradient_recursion(x, *terms, n, t_max), guarded
         )
+
+    def _sweep(self, rule, guarded: bool = False) -> float:
+        """Row-blocked Gauss-Seidel pass: x_ij = rule(*_visit_terms) at every (i, j).
+
+        When the pass reaches row i it builds the row's s x n f2 factors and
+        its f1 and (1 + |x - 1/2|) factors once.  A visit divides the kernel
+        row by one factor row, and a commit replaces that factor row and the
+        two factors and takes the products again: O(ns) elementwise work in a
+        few numpy calls, leaving every array exactly as ``update`` would.  An
+        unguarded pass re-sums once at the end (O(n^2)); a guarded one
+        re-sums after every visit, because it compares CD2 there, and undoes
+        a rejected visit by restoring the entries it saved.
+        """
+        self._previewed = None, None
+        x, a, kernel, rp = self._x, self._a, self._kernel, self._rp
+        # column-major copies, so that every column read below is contiguous
+        xt, at = x.T.copy(), a.T.copy()
+        for i in range(self.n):
+            f2_t = _f2(x[i, :, None], a[i, :, None], xt, at)  # f2_t[j, k] = f2(x_ij, x_kj)
+            f1_row, g2_row = _f1(a[i]), 1.0 + a[i]
+            g2_prod = g2_row.prod()
+            for j in range(self.s):
+                terms = _loo_terms(rp[i], f1_row[j], g2_prod, g2_row[j], kernel[i], f2_t[j])
+                value = rule(x[i, j], xt[j], *terms)
+                if guarded:
+                    saved = (x[i, j], a[i, j], f1_row[j], g2_row[j], g2_prod, f2_t[j].copy(),
+                             kernel[i].copy(), rp[i], self._sum_rp, self._sum_kernel, self.cd2)
+                x[i, j] = xt[j, i] = value
+                a[i, j] = at[j, i] = aij = abs(value - 0.5)
+                f1_row[j], g2_row[j] = _f1(aij), 1.0 + aij
+                f2_t[j] = _f2(value, aij, xt[j], at[j])
+                row = f2_t.prod(axis=0)
+                # the diagonal pairs the new row with itself
+                row[i] = g2_prod = g2_row.prod()
+                rp[i] = f1_row.prod()
+                kernel[i] = kernel[:, i] = row
+                if guarded and self.resum() > saved[-1]:
+                    (x[i, j], a[i, j], f1_row[j], g2_row[j], g2_prod, f2_t[j], row, rp[i],
+                     self._sum_rp, self._sum_kernel, self.cd2) = saved
+                    xt[j, i], at[j, i] = x[i, j], a[i, j]
+                    kernel[i] = kernel[:, i] = row
+        return self.resum()

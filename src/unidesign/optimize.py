@@ -12,6 +12,11 @@ All refiners clamp iterates into [0, 1], are deterministic, and return the
 best design seen at any epoch boundary, so the result never degrades the
 initialization even when the per-sweep trajectory fluctuates.
 ``refine_pipeline`` chains threshold accepting with a chosen refiner.
+
+Cost per epoch: a CGD or unguarded CZG sweep visit is O(ns) elementwise work
+in a few numpy calls on the active row's f2 factors, plus one O(n^2) re-sum
+per epoch; guarded CZG re-sums after every visit.  CDFSS scores its 2ns moves
+in one O(n^2 s) pass per epoch and confirms the best with ``preview_update``.
 """
 
 from __future__ import annotations
@@ -117,10 +122,6 @@ class _Run:
         return RefineResult(best_design, best_cd2, trace, termination)
 
 
-def _clamp(v: float) -> float:
-    return min(1.0, max(0.0, v))
-
-
 def cgd(init, config: RefinerConfig | None = None) -> RefineResult:
     """Coordinate gradient descent with a fixed step size.
 
@@ -131,10 +132,7 @@ def cgd(init, config: RefinerConfig | None = None) -> RefineResult:
     cache = DiscrepancyCache(init)
 
     def epoch():
-        for i in range(cache.n):
-            for j in range(cache.s):
-                g = cache.coordinate_gradient(i, j)
-                cache.update(i, j, _clamp(cache.value_at(i, j) - config.step_size * g))
+        cache.gradient_sweep(config.step_size)
 
     return _Run(cache).loop(epoch, config.max_epochs, config.epsilon)
 
@@ -151,24 +149,26 @@ def czg(init, config: RefinerConfig | None = None) -> RefineResult:
     cache = DiscrepancyCache(init)
 
     def epoch():
-        for i in range(cache.n):
-            for j in range(cache.s):
-                old = cache.value_at(i, j)
-                before = cache.cd2
-                after = cache.update(i, j, cache.zero_gradient_value(i, j, config.t_max))
-                if config.guarded and after > before:
-                    cache.update(i, j, old)
+        cache.zero_gradient_sweep(config.t_max, config.guarded)
 
     return _Run(cache).loop(epoch, config.max_epochs, config.epsilon)
+
+
+# CDFSS re-scores, with ``preview_update``, every move whose one-pass score is
+# within this fraction of ``term_scale`` of the pass's best, so that it commits
+# exactly the move a ``preview_update`` of every candidate would pick.  The two
+# scorings differ by at most ~6e-16 of that scale.
+_RESCORE_RTOL = 1e-12
 
 
 def cdfss(init, config: RefinerConfig | None = None) -> RefineResult:
     """Coordinate descent with fixed per-column step sizes.
 
-    Each epoch previews all 2ns candidates x_ij +/- delta_j (clamped) and
-    commits the single lowest-CD2 move, provided it strictly improves the
-    current design; otherwise the run stops with ``no_improving_move``.
-    There is no convergence test: ``epsilon`` is not used.
+    Each epoch scores all 2ns candidates x_ij +/- delta_j (clamped) in one
+    pass and commits the single lowest-CD2 move, provided it strictly improves
+    the current design; otherwise the run stops with ``no_improving_move``.
+    Ties go to the first move in (i, j, +, -) order.  There is no convergence
+    test: ``epsilon`` is not used.
     """
     config = config or RefinerConfig()
     cache = DiscrepancyCache(init)
@@ -181,19 +181,20 @@ def cdfss(init, config: RefinerConfig | None = None) -> RefineResult:
 
     def epoch():
         base = cache.cd2
+        targets, values = cache.preview_steps(steps)
+        lowest = values.min()
+        if lowest == np.inf:
+            return "no_improving_move"
         best_move = None
         best_val = base
-        for i in range(cache.n):
-            for j in range(cache.s):
-                x = cache.value_at(i, j)
-                for direction in (1.0, -1.0):
-                    v = _clamp(x + direction * steps[j])
-                    if v == x:
-                        continue
-                    candidate = cache.preview_update(i, j, v)
-                    if candidate < best_val:
-                        best_val = candidate
-                        best_move = (i, j, v)
+        # flat indices run in (i, j, +, -) order
+        for k in np.flatnonzero(values <= lowest + _RESCORE_RTOL * cache.term_scale):
+            i, j, d = np.unravel_index(k, values.shape)
+            v = targets[i, j, d]
+            candidate = cache.preview_update(i, j, v)
+            if candidate < best_val:
+                best_val = candidate
+                best_move = (i, j, v)
         if best_move is None:
             return "no_improving_move"
         i, j, v = best_move

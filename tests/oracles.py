@@ -1,12 +1,15 @@
-"""Independent oracles: naive CD2 translation and finite differences.
+"""Independent oracles: naive CD2 translation, finite differences, reference refiners.
 
 These deliberately mirror the defining formulas with plain loops and stay
 independent of the vectorized/cached production paths they are used to check.
+The reference refiners visit one coordinate per public ``DiscrepancyCache``
+call, so the production refiners' row-blocked sweeps and one-pass CDFSS
+scoring must reproduce them bit for bit.
 """
 
 import numpy as np
 
-from unidesign import cd2
+from unidesign import DiscrepancyCache, RefinerConfig, cd2
 
 
 def cd2_reference(design) -> float:
@@ -76,3 +79,95 @@ def off_kink_design(n: int, s: int, seed: int, gap: float = 1e-3) -> np.ndarray:
         raise ValueError("grid too coarse for the requested n")
     rng = np.random.default_rng(seed)
     return np.column_stack([rng.choice(grid, size=n, replace=False) for _ in range(s)])
+
+
+def _reference_loop(cache, epoch, max_epochs, epsilon):
+    """Epoch loop of the refiners: best-so-far, |delta CD2| < epsilon, max_epochs.
+
+    Returns ``(design, cd2, termination, [(step, cd2), ...])``.
+    """
+    best_design, best_cd2 = cache.design, cache.cd2
+    trace = [(0, best_cd2)]
+    prev = best_cd2
+    for step in range(1, max_epochs + 1):
+        reason = epoch()
+        if reason is not None:
+            return best_design, best_cd2, reason, trace
+        value = cache.cd2
+        trace.append((step, value))
+        if value < best_cd2:
+            best_design, best_cd2 = cache.design, value
+        if abs(value - prev) < epsilon:
+            return best_design, best_cd2, "converged", trace
+        prev = value
+    return best_design, best_cd2, "max_epochs", trace
+
+
+def _clamp(v):
+    return min(1.0, max(0.0, v))
+
+
+def cgd_reference(init, config=None):
+    """CGD as one ``coordinate_gradient`` and one ``update`` per visit."""
+    config = config or RefinerConfig()
+    cache = DiscrepancyCache(init)
+
+    def epoch():
+        for i in range(cache.n):
+            for j in range(cache.s):
+                g = cache.coordinate_gradient(i, j)
+                cache.update(i, j, _clamp(cache.value_at(i, j) - config.step_size * g))
+
+    return _reference_loop(cache, epoch, config.max_epochs, config.epsilon)
+
+
+def czg_reference(init, config=None):
+    """CZG as one ``zero_gradient_value`` and one ``update`` per visit (two if rolled back)."""
+    config = config or RefinerConfig()
+    cache = DiscrepancyCache(init)
+
+    def epoch():
+        for i in range(cache.n):
+            for j in range(cache.s):
+                old = cache.value_at(i, j)
+                before = cache.cd2
+                after = cache.update(i, j, cache.zero_gradient_value(i, j, config.t_max))
+                if config.guarded and after > before:
+                    cache.update(i, j, old)
+
+    return _reference_loop(cache, epoch, config.max_epochs, config.epsilon)
+
+
+def cdfss_reference(init, config=None):
+    """CDFSS as one ``preview_update`` per candidate move and an ``update`` commit."""
+    config = config or RefinerConfig()
+    cache = DiscrepancyCache(init)
+    if config.column_steps is None:
+        steps = np.full(cache.s, 1.0 / (2 * cache.n))
+    else:
+        steps = np.asarray(config.column_steps, dtype=float)
+
+    def epoch():
+        base = cache.cd2
+        best_move = None
+        best_val = base
+        for i in range(cache.n):
+            for j in range(cache.s):
+                x = cache.value_at(i, j)
+                for direction in (1.0, -1.0):
+                    v = _clamp(x + direction * steps[j])
+                    if v == x:
+                        continue
+                    candidate = cache.preview_update(i, j, v)
+                    if candidate < best_val:
+                        best_val = candidate
+                        best_move = (i, j, v)
+        if best_move is None:
+            return "no_improving_move"
+        i, j, v = best_move
+        old = cache.value_at(i, j)
+        if cache.update(i, j, v) >= base:
+            cache.update(i, j, old)
+            return "no_improving_move"
+
+    return _reference_loop(cache, epoch, config.max_epochs, 0.0)

@@ -208,6 +208,22 @@ class TestConstruct:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["ta", "init"])
+    def test_wrong_length_delta_j_exit_2(self, capsys, tmp_path, source):
+        if source == "ta":
+            start = ["--algo", "ta+cdfss", "--n", "4", "--q", "4", "--s", "3",
+                     "--stages", "1", "--probes", "2", "--iters-per-stage", "5"]
+        else:
+            init = tmp_path / "i.csv"
+            write_matrix_csv(str(init), np.random.default_rng(6).random((4, 3)))
+            start = ["--algo", "cdfss", "--init", str(init)]
+        out = tmp_path / "r.csv"
+        code, _, err = run(capsys, "construct", *start, "--delta-j", "0.1,0.2",
+                           "--out", str(out))
+        assert code == 2
+        assert "needs 1 or 3 values" in err
+        assert not out.exists()
+
     def test_ta_requires_shape(self, capsys, tmp_path):
         code, _, err = run(capsys, "construct", "--algo", "ta",
                            "--out", str(tmp_path / "r.csv"))

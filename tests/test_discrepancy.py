@@ -262,6 +262,65 @@ class TestCache:
         assert cache.value_at(0, 0) == 0.25
 
 
+def _state(cache: DiscrepancyCache):
+    return (cache.design.tobytes(), cache.row_products.tobytes(), cache.kernel.tobytes(),
+            cache.cd2)
+
+
+class TestSweeps:
+    @pytest.mark.parametrize("guarded", [False, True])
+    def test_sweep_leaves_the_arrays_of_a_fresh_build(self, guarded):
+        # every entry is recomputed from the design, as update does, so the
+        # arrays are bitwise those of a cache built from the new design
+        for seed, (n, s) in enumerate([(1, 1), (6, 3), (11, 5)]):
+            cache = DiscrepancyCache(random_design(n, s, seed))
+            cache.zero_gradient_sweep(t_max=2, guarded=guarded)
+            cache.gradient_sweep(0.05)
+            assert _state(cache) == _state(DiscrepancyCache(cache.design))
+
+    def test_zero_gradient_sweep_rejects_bad_depth(self):
+        with pytest.raises(ValueError):
+            DiscrepancyCache([[0.3]]).zero_gradient_sweep(t_max=0)
+
+
+class TestPreviewSteps:
+    @pytest.mark.parametrize("kind", ["random", "lattice", "kinks"])
+    def test_matches_preview_update(self, kind):
+        # the pass sums in a different order than preview_update, so the two
+        # agree to round-off relative to the size of CD2's terms
+        rng = np.random.default_rng(13)
+        for n, s in [(1, 1), (2, 3), (9, 4), (18, 7)]:
+            if kind == "random":
+                x = rng.random((n, s))
+            elif kind == "lattice":
+                x = (np.argsort(rng.random((n, s)), axis=0) + 0.5) / n
+            else:
+                x = rng.integers(0, 5, (n, s)) / 4
+            cache = DiscrepancyCache(x)
+            steps = rng.uniform(0.01, 0.3, s)
+            before = _state(cache)
+            targets, values = cache.preview_steps(steps)
+            assert _state(cache) == before
+            assert targets.shape == values.shape == (n, s, 2)
+            for i in range(n):
+                for j in range(s):
+                    for d, direction in enumerate((1.0, -1.0)):
+                        v = min(1.0, max(0.0, x[i, j] + direction * steps[j]))
+                        assert targets[i, j, d] == v
+                        if v == x[i, j]:
+                            assert values[i, j, d] == np.inf
+                            continue
+                        exact = cache.preview_update(i, j, v)
+                        assert abs(values[i, j, d] - exact) <= 1e-14 * cache.term_scale
+
+    def test_clamped_moves_read_inf(self):
+        cache = DiscrepancyCache([[0.0, 1.0], [1.0, 0.5]])
+        _, values = cache.preview_steps([0.25, 0.25])
+        # x = 0 cannot move down, x = 1 cannot move up
+        assert values[0, 0, 1] == values[0, 1, 0] == values[1, 0, 0] == np.inf
+        assert np.isfinite(values[[0, 0, 1, 1, 1], [0, 1, 0, 1, 1], [0, 1, 1, 0, 1]]).all()
+
+
 class TestZeroGradientSolve:
     def test_center_fixed_point(self):
         assert zero_gradient_solve([[0.5]], 0, 0) == 0.5

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from unidesign import (
+    DiscrepancyCache,
     RefinerConfig,
     TaConfig,
     cd2,
@@ -14,6 +15,7 @@ from unidesign import (
     ta_optimize,
 )
 from conftest import UD18X7_CD2
+from oracles import cdfss_reference, cgd_reference, czg_reference
 
 
 def random_design(n, s, seed):
@@ -199,3 +201,64 @@ def test_config_validation():
             RefinerConfig(column_steps=[0.1, bad])
     with pytest.raises(ValueError):
         RefinerConfig(epsilon=float("nan"))
+
+
+def _design(kind, n, s, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.random((n, s))
+    if kind == "lattice":
+        return (np.argsort(rng.random((n, s)), axis=0) + 0.5) / n
+    # kinks at 0.5, ties within columns and points on the boundary
+    return rng.integers(0, 5, (n, s)) / 4
+
+
+_REFERENCES = {"cgd": (cgd, cgd_reference), "czg": (czg, czg_reference),
+               "cdfss": (cdfss, cdfss_reference)}
+
+
+@pytest.mark.parametrize("kind", ["random", "lattice", "kinks"])
+@pytest.mark.parametrize("name", sorted(_REFERENCES))
+def test_refiners_match_per_visit_reference_bit_for_bit(name, kind):
+    # the row-blocked sweeps and the one-pass CDFSS scoring must reproduce
+    # one public cache call per visit exactly: design bytes, CD2,
+    # termination and every (step, cd2) trace record
+    refine, reference = _REFERENCES[name]
+    for seed, (n, s) in enumerate([(1, 1), (1, 3), (5, 1), (2, 2), (7, 4), (12, 5)]):
+        configs = [
+            RefinerConfig(max_epochs=25),
+            RefinerConfig(max_epochs=15, step_size=0.07, t_max=3),
+            RefinerConfig(max_epochs=15, guarded=True, epsilon=1e-6),
+            RefinerConfig(max_epochs=15, guarded=True, t_max=2,
+                          column_steps=np.linspace(0.03, 0.3, s)),
+        ]
+        init = _design(kind, n, s, seed)
+        for config in configs:
+            result = refine(init, config)
+            design, value, termination, trace = reference(init, config)
+            assert result.design.tobytes() == design.tobytes()
+            assert result.cd2 == value
+            assert result.termination == termination
+            assert [(r.step, r.cd2) for r in result.trace.records] == trace
+
+
+def test_cdfss_exact_tie_goes_to_first_move():
+    # rows 2 and 3 mirror rows 0 and 1 about 0.5, so moving x_10 down and
+    # x_30 up give mirror-image designs whose previews tie exactly; the
+    # one-pass scores order them the other way round here (numpy 2.4,
+    # x86-64), and the first move in (i, j, +, -) order must still win
+    half = np.array([[0.5293121601967704, 0.7857857007138075],
+                     [0.4146558493556708, 0.7344835717887294]])
+    init = np.vstack([half, 1.0 - half])
+    cache = DiscrepancyCache(init)
+    step = 1.0 / 8
+    first = cache.preview_update(1, 0, init[1, 0] - step)
+    assert first == cache.preview_update(3, 0, init[3, 0] + step) < cache.cd2
+    _, values = cache.preview_steps(np.full(2, step))
+    assert first == pytest.approx(values.min(), rel=1e-14)
+    result = cdfss(init, RefinerConfig(max_epochs=1))
+    moved = np.argwhere(result.design != init)
+    assert moved.tolist() == [[1, 0]]
+    assert result.design[1, 0] == init[1, 0] - step
+    design, _, _, _ = cdfss_reference(init, RefinerConfig(max_epochs=1))
+    assert result.design.tobytes() == design.tobytes()
