@@ -12,16 +12,21 @@ theta are chosen by maximizing the profiled log-likelihood (beta and sigma^2
 concentrated out) with a bounded Nelder-Mead search in log space from
 log-spaced multi-starts; a small nugget keeps the Cholesky factorization
 positive definite while preserving near-interpolation.
+
+A fit builds the n x n x s squared differences once; one likelihood evaluation
+is then O(n^2 s + n^3) arithmetic on them through direct LAPACK calls, and
+theta that clip to scales already solved are served from a per-fit memo.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import cholesky, qr, solve_triangular
+from scipy.linalg import get_lapack_funcs
 from scipy.optimize import minimize
 
 from .benchfns import TestFunction, normalize_bounds, scale_design
@@ -44,6 +49,8 @@ DEFAULT_NUGGET = 1e-10
 DEFAULT_THETA_BOUNDS = (1e-2, 1e2)
 _MULTISTARTS = 8
 
+_POTRF, _TRTRS, _GEQRF, _ORGQR = get_lapack_funcs(("potrf", "trtrs", "geqrf", "orgqr"), dtype=float)
+
 
 def basis_matrix(points: np.ndarray, basis: str) -> np.ndarray:
     """Trend design matrix: rows b(x)' for the requested polynomial basis."""
@@ -60,9 +67,25 @@ def basis_matrix(points: np.ndarray, basis: str) -> np.ndarray:
     return np.hstack(cols)
 
 
-def _correlation(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    d2 = (a[:, None, :] - b[None, :, :]) ** 2
-    return np.exp(-(d2 @ theta))
+def _sq_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared coordinate differences, shape (len(a), len(b), s)."""
+    return (a[:, None, :] - b[None, :, :]) ** 2
+
+
+def _lapack(routine, *args, **kwargs) -> list:
+    """Call a LAPACK routine; a nonzero info raises as scipy.linalg's wrappers do."""
+    *out, info = routine(*args, **kwargs)
+    if info:
+        error = np.linalg.LinAlgError if info > 0 else ValueError
+        raise error(f"{routine.__name__} returned info={info}")
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _qr_lwork(m: int, k: int) -> tuple[int, int]:
+    """geqrf and orgqr workspaces from LAPACK's query, as scipy.linalg.qr sizes them."""
+    a = np.zeros((m, k), order="F")
+    return int(_GEQRF(a, lwork=-1)[2][0]), int(_ORGQR(a, np.zeros(k), lwork=-1)[1][0])
 
 
 @dataclass
@@ -89,18 +112,25 @@ class KrigingModel:
         return self.x_train.shape[1]
 
 
-def _profiled_fit(x, y, f, theta, nugget):
-    """GLS solve for fixed theta; returns parameters and the profiled NLL."""
-    n = len(y)
-    r = _correlation(x, x, theta) + nugget * np.eye(n)
-    chol_l = cholesky(r, lower=True)
-    ft = solve_triangular(chol_l, f, lower=True)
-    yt = solve_triangular(chol_l, y, lower=True)
-    q, g = qr(ft, mode="economic")
-    beta = solve_triangular(g, q.T @ yt, lower=False)
+def _profiled_fit(d2, y, f, theta, nugget):
+    """GLS solve for fixed theta on squared differences ``d2``; returns the
+    parameters and the profiled NLL, bit for bit those of scipy.linalg's
+    cholesky, solve_triangular and economic qr."""
+    n, k = f.shape
+    r = np.exp(-(d2 @ theta))
+    r.reshape(-1)[:: n + 1] += nugget
+    [chol_l] = _lapack(_POTRF, r, lower=1, clean=1)
+    [ft] = _lapack(_TRTRS, chol_l, f, lower=1)
+    [yt] = _lapack(_TRTRS, chol_l, y, lower=1)
+    lwork_qr, lwork_q = _qr_lwork(n, k)
+    qr, tau, _ = _lapack(_GEQRF, ft, lwork=lwork_qr)
+    g = qr[:k].copy()  # R on and above the diagonal; orgqr overwrites qr
+    q, _ = _lapack(_ORGQR, qr, tau, lwork=lwork_q, overwrite_a=1)
+    # as solve_triangular(g, b) does for C-ordered g; trtrs reads only g's upper triangle
+    [beta] = _lapack(_TRTRS, g.T, q.T @ yt, lower=1, trans=1)
     rho = yt - ft @ beta
     sigma2 = float(rho @ rho) / n
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol_l))))
+    logdet = 2.0 * float(np.log(chol_l.diagonal()).sum())
     nll = n * np.log(max(sigma2, 1e-300)) + logdet
     return chol_l, beta, rho, sigma2, nll
 
@@ -121,14 +151,17 @@ def kriging_fit(
     worse than any start.  Fully deterministic.  Passing ``theta`` skips the
     search and fits the generalized least squares model at those scales.
 
-    Raises ``ValueError`` for duplicate training rows (singular correlation)
-    or when n <= trend size (underdetermined generalized least squares).
+    Raises ``ValueError`` for NaN or inf in ``y``, duplicate training rows
+    (singular correlation) or n <= trend size (underdetermined GLS).
     """
     x = as_design_matrix(design)
     y = np.asarray(y, dtype=float).reshape(-1)
     n, s = x.shape
     if y.shape != (n,):
         raise ValueError(f"y must have length n={n}, got {y.shape}")
+    bad = np.count_nonzero(~np.isfinite(y))
+    if bad:
+        raise ValueError(f"y has {bad} non-finite value(s)")
     if theta_bounds[0] <= 0 or theta_bounds[0] >= theta_bounds[1]:
         raise ValueError("theta_bounds must be positive with low < high")
     if len(np.unique(x, axis=0)) != n:
@@ -139,14 +172,19 @@ def kriging_fit(
             f"need n > {f.shape[1]} runs for the {basis} trend, got n={n}"
         )
 
+    d2 = _sq_diff(x, x)
     lb, ub = np.log(theta_bounds[0]), np.log(theta_bounds[1])
+    solved = {}  # profiled NLL by clipped scales: out-of-box points repeat them
 
     def nll_at(log_theta: np.ndarray) -> float:
         scales = np.exp(np.clip(log_theta, lb, ub))
-        try:
-            return _profiled_fit(x, y, f, scales, nugget)[4]
-        except np.linalg.LinAlgError:
-            return np.inf
+        key = scales.tobytes()
+        if key not in solved:
+            try:
+                solved[key] = _profiled_fit(d2, y, f, scales, nugget)[4]
+            except np.linalg.LinAlgError:
+                solved[key] = np.inf
+        return solved[key]
 
     if theta is not None:
         theta = np.asarray(theta, dtype=float).reshape(-1)
@@ -173,9 +211,9 @@ def kriging_fit(
         if best_log_theta is None:
             raise np.linalg.LinAlgError("no admissible theta found")
         theta = np.exp(best_log_theta)
-    chol_l, beta, rho, sigma2, nll = _profiled_fit(x, y, f, theta, nugget)
-    gamma = solve_triangular(chol_l.T, rho, lower=False)
-    # gamma solves R gamma = y - F beta through the decorrelated residual
+    chol_l, beta, rho, sigma2, nll = _profiled_fit(d2, y, f, theta, nugget)
+    # gamma solves R gamma = y - F beta, as solve_triangular(chol_l.T, rho) does
+    [gamma] = _lapack(_TRTRS, chol_l, rho, lower=1, trans=1)
     return KrigingModel(
         x_train=x.copy(),
         y_train=y.copy(),
@@ -206,7 +244,7 @@ def kriging_predict(model: KrigingModel, points) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-    r = _correlation(p, model.x_train, model.theta)
+    r = np.exp(-(_sq_diff(p, model.x_train) @ model.theta))
     return basis_matrix(p, model.basis) @ model.beta + r @ model.gamma
 
 
@@ -229,14 +267,16 @@ def evaluate_mse(
     """
     x = as_design_matrix(design)
     bounds_arr = normalize_bounds(bounds if bounds is not None else fn.bounds, x.shape[1])
-    y = np.asarray(fn(scale_design(x, bounds_arr)), dtype=float)
-    model = kriging_fit(x, y, basis)
     if test_points is None:
         if num_test_points < 1:
             raise ValueError("num_test_points must be >= 1")
         rng = np.random.default_rng(seed)
         test_points = rng.random((num_test_points, x.shape[1]))
     test_points = np.atleast_2d(np.asarray(test_points, dtype=float))
+    if test_points.shape[1] != x.shape[1]:
+        raise ValueError(f"test_points must have {x.shape[1]} columns, got {test_points.shape[1]}")
+    y = np.asarray(fn(scale_design(x, bounds_arr)), dtype=float)
+    model = kriging_fit(x, y, basis)
     y_true = np.asarray(fn(scale_design(test_points, bounds_arr)), dtype=float)
     err = kriging_predict(model, test_points) - y_true
     mse = float(np.mean(err**2))

@@ -1,15 +1,21 @@
-"""Independent oracles: naive CD2 translation, finite differences, reference refiners.
+"""Independent oracles: naive CD2 translation, finite differences, reference
+refiners and a reference Kriging fit.
 
 These deliberately mirror the defining formulas with plain loops and stay
 independent of the vectorized/cached production paths they are used to check.
 The reference refiners visit one coordinate per public ``DiscrepancyCache``
 call, so the production refiners' row-blocked sweeps and one-pass CDFSS
-scoring must reproduce them bit for bit.
+scoring must reproduce them bit for bit.  The reference Kriging fit solves
+every likelihood through scipy.linalg's checked wrappers and keeps no memo,
+so ``kriging_fit``'s direct LAPACK calls must reproduce it bit for bit.
 """
 
 import numpy as np
+from scipy.linalg import cholesky, qr, solve_triangular
+from scipy.optimize import minimize
 
-from unidesign import DiscrepancyCache, RefinerConfig, cd2
+from unidesign import DiscrepancyCache, KrigingModel, RefinerConfig, basis_matrix, cd2
+from unidesign.surrogate import DEFAULT_NUGGET, DEFAULT_THETA_BOUNDS
 
 
 def cd2_reference(design) -> float:
@@ -171,3 +177,57 @@ def cdfss_reference(init, config=None):
             return "no_improving_move"
 
     return _reference_loop(cache, epoch, config.max_epochs, 0.0)
+
+
+def profiled_fit_reference(x, y, f, theta, nugget):
+    """GLS solve for fixed theta through scipy.linalg; returns parameters and the profiled NLL."""
+    n = len(y)
+    r = np.exp(-(((x[:, None, :] - x[None, :, :]) ** 2) @ theta)) + nugget * np.eye(n)
+    chol_l = cholesky(r, lower=True)
+    ft = solve_triangular(chol_l, f, lower=True)
+    yt = solve_triangular(chol_l, y, lower=True)
+    q, g = qr(ft, mode="economic")
+    beta = solve_triangular(g, q.T @ yt, lower=False)
+    rho = yt - ft @ beta
+    sigma2 = float(rho @ rho) / n
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol_l))))
+    nll = n * np.log(max(sigma2, 1e-300)) + logdet
+    return chol_l, beta, rho, sigma2, nll
+
+
+def kriging_fit_reference(design, y, basis="poly0", theta_bounds=DEFAULT_THETA_BOUNDS,
+                          nugget=DEFAULT_NUGGET):
+    """Profiled maximum likelihood by 8 log-spaced Nelder-Mead starts, one solve per evaluation."""
+    x = np.asarray(design, dtype=float)
+    y = np.asarray(y, dtype=float)
+    s = x.shape[1]
+    f = basis_matrix(x, basis)
+    lb, ub = np.log(theta_bounds[0]), np.log(theta_bounds[1])
+
+    def nll_at(log_theta):
+        try:
+            return profiled_fit_reference(x, y, f, np.exp(np.clip(log_theta, lb, ub)), nugget)[4]
+        except np.linalg.LinAlgError:
+            return np.inf
+
+    best_log_theta = None
+    best_nll = np.inf
+    for t0 in np.geomspace(theta_bounds[0], theta_bounds[1], 8):
+        start = np.full(s, np.log(t0))
+        for cand in (start, None):
+            if cand is None:
+                cand = minimize(
+                    nll_at, start, method="Nelder-Mead",
+                    options={"xatol": 1e-4, "fatol": 1e-10, "maxiter": 400 * s},
+                ).x
+            val = nll_at(cand)
+            if val < best_nll:
+                best_nll = val
+                best_log_theta = np.clip(cand, lb, ub)
+    theta = np.exp(best_log_theta)
+    chol_l, beta, rho, sigma2, nll = profiled_fit_reference(x, y, f, theta, nugget)
+    return KrigingModel(
+        x_train=x.copy(), y_train=y.copy(), basis=basis, beta=beta, theta=theta,
+        sigma2=sigma2, chol=chol_l, gamma=solve_triangular(chol_l.T, rho, lower=False),
+        nugget=nugget, log_likelihood=-0.5 * nll,
+    )

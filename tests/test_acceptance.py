@@ -251,3 +251,26 @@ def test_criterion_11_modeling_comparison_trend():
     )
     report(11, ok, f"pipeline rmse {rmse_pipeline:.2f} < test std {spread:.2f} and "
                    f"<= 1.25 x MLHS avg {rmse_mlhs:.2f} (recorded 543.07 vs 558.29)", elapsed)
+
+
+def test_criterion_12_continuous_designs_predict_better(u9_levels, u9_continuous,
+                                                        u16_levels, u16_continuous):
+    # the paper's Kriging claim: on wood, its continuous designs give a lower
+    # prediction error than the recorded lattice designs (scaled as in 9)
+    t0 = time.perf_counter()
+    fn = get_test_function("wood")
+    pairs = {
+        9: (u9_continuous, (u9_levels - 1) / 8.0, ["poly0", "poly1"]),
+        16: (u16_continuous, (u16_levels - 1) / 15.0, ["poly0", "poly1", "poly2"]),
+    }
+    ok = True
+    details = []
+    for n, (continuous, lattice, bases) in pairs.items():
+        for basis in bases:
+            _, rmse_c = evaluate_mse(continuous, fn, basis=basis, num_test_points=1000, seed=1)
+            _, rmse_l = evaluate_mse(lattice, fn, basis=basis, num_test_points=1000, seed=1)
+            ok &= rmse_c < rmse_l
+            details.append(f"n={n} {basis} {rmse_c:.1f} vs {rmse_l:.1f}")
+    elapsed = time.perf_counter() - t0
+    ok = ok and elapsed < 60.0
+    report(12, ok, "continuous vs lattice RMSE: " + ", ".join(details), elapsed)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from unidesign import (
+    TaConfig,
     average_mse_over_samples,
     basis_matrix,
     constant,
+    embed,
     evaluate_mse,
     get_test_function,
     kriging_fit,
@@ -12,8 +14,11 @@ from unidesign import (
     lhs,
     mlhs,
     scale_design,
+    ta_optimize,
 )
-from unidesign.surrogate import _profiled_fit
+from unidesign import surrogate
+from unidesign.surrogate import _profiled_fit, _sq_diff
+from oracles import kriging_fit_reference, profiled_fit_reference
 
 
 def training_set(n=12, s=3, seed=5):
@@ -85,9 +90,19 @@ class TestKrigingFit:
         x, y = training_set(seed=9)
         model = kriging_fit(x, y, "poly0")
         f = basis_matrix(x, "poly0")
+        d2 = _sq_diff(x, x)
         for t0 in np.geomspace(1e-2, 1e2, 8):
-            nll_start = _profiled_fit(x, y, f, np.full(x.shape[1], t0), model.nugget)[4]
+            nll_start = _profiled_fit(d2, y, f, np.full(x.shape[1], t0), model.nugget)[4]
             assert model.log_likelihood >= -0.5 * nll_start - 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_y_rejected(self, bad):
+        x, y = training_set()
+        y[[2, 7]] = bad
+        with pytest.raises(ValueError, match="y has 2 non-finite"):
+            kriging_fit(x, y, "poly0")
+        with pytest.raises(ValueError, match="y has 2 non-finite"):
+            kriging_fit(x, y, "poly0", theta=np.ones(3))
 
     def test_deterministic(self):
         x, y = training_set(seed=11)
@@ -95,6 +110,106 @@ class TestKrigingFit:
         b = kriging_fit(x, y, "poly1")
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.beta, b.beta)
+
+
+def assert_same_fit(model, reference, points):
+    for field in ("theta", "beta", "gamma", "chol"):
+        a, b = getattr(model, field), getattr(reference, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+    assert model.sigma2 == reference.sigma2
+    assert model.log_likelihood == reference.log_likelihood
+    assert kriging_predict(model, points).tobytes() == kriging_predict(reference, points).tobytes()
+
+
+class TestBitIdenticalToReference:
+    """The fit matches scipy.linalg's wrappers without a memo, bit for bit."""
+
+    @pytest.mark.parametrize("n, s, seed", [(6, 1, 0), (9, 2, 1), (13, 3, 2), (16, 4, 3),
+                                            (21, 2, 4), (27, 4, 5)])
+    @pytest.mark.parametrize("basis", ["poly0", "poly1", "poly2"])
+    def test_random_mlhs(self, n, s, seed, basis):
+        x = mlhs(n, s, seed=seed)
+        if n <= basis_matrix(x, basis).shape[1]:
+            pytest.skip("trend larger than the design")
+        y = np.sin(4.0 * x).sum(axis=1) + 2.0 * x[:, 0] ** 2
+        pts = np.random.default_rng(seed).random((40, s))
+        assert_same_fit(kriging_fit(x, y, basis), kriging_fit_reference(x, y, basis), pts)
+
+    @pytest.mark.parametrize("basis", ["poly0", "poly1", "poly2"])
+    def test_camelback_20x2(self, basis):
+        ta = ta_optimize(TaConfig(n=20, q=20, s=2, seed=0, stages=4, probes=50,
+                                  iterations_per_stage=500))
+        x = embed(ta.design)
+        fn = get_test_function("camelback")
+        y = fn(scale_design(x, fn.bounds))
+        pts = np.random.default_rng(0).random((40, 2))
+        assert_same_fit(kriging_fit(x, y, basis), kriging_fit_reference(x, y, basis), pts)
+
+    def test_constant_y(self):
+        x = mlhs(8, 2, seed=8)
+        y = np.full(8, -1.5)
+        pts = np.random.default_rng(1).random((20, 2))
+        assert_same_fit(kriging_fit(x, y, "poly1"), kriging_fit_reference(x, y, "poly1"), pts)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_failing_starts(self, monkeypatch):
+        # without a nugget the smallest scales leave R numerically singular
+        x = mlhs(20, 2, seed=3)
+        y = np.sin(5.0 * x).sum(axis=1)
+        failures = []
+        solve = surrogate._profiled_fit
+
+        def counting(*args):
+            try:
+                return solve(*args)
+            except np.linalg.LinAlgError:
+                failures.append(args[3])
+                raise
+
+        monkeypatch.setattr(surrogate, "_profiled_fit", counting)
+        kw = dict(theta_bounds=(1e-6, 1e2), nugget=0.0)
+        model = kriging_fit(x, y, "poly0", **kw)
+        assert failures
+        pts = np.random.default_rng(2).random((20, 2))
+        assert_same_fit(model, kriging_fit_reference(x, y, "poly0", **kw), pts)
+
+
+@pytest.mark.parametrize("n, s, basis", [(7, 1, "poly0"), (12, 3, "poly1"), (27, 4, "poly2"),
+                                         (140, 15, "poly2")])
+def test_one_solve_matches_reference(n, s, basis):
+    # 140x15 poly2 has 136 trend columns, past LAPACK's unblocked-QR crossover
+    # (128), so the QR workspace decides the blocking and hence the bits
+    x = mlhs(n, s, seed=n)
+    y = np.cos(3.0 * x).sum(axis=1)
+    f = basis_matrix(x, basis)
+    for theta in np.random.default_rng(s).uniform(0.05, 50.0, (3, s)):
+        got = _profiled_fit(_sq_diff(x, x), y, f, theta, 1e-10)
+        want = profiled_fit_reference(x, y, f, theta, 1e-10)
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_repeated_clipped_theta_is_solved_once(monkeypatch):
+    # the end starts sit on the theta bounds, so Nelder-Mead steps outside
+    # them clip back onto scales that were already solved
+    x, y = training_set(seed=4)
+    solves = []
+    nfev = []
+    solve, search = surrogate._profiled_fit, surrogate.minimize
+    monkeypatch.setattr(surrogate, "_profiled_fit",
+                        lambda *args: solves.append(args[3]) or solve(*args))
+
+    def counted_search(*args, **kwargs):
+        res = search(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(surrogate, "minimize", counted_search)
+    model = kriging_fit(x, y, "poly0")
+    assert len(solves) - 1 < sum(nfev)  # the last solve is the final fit
+    distinct = {t.tobytes() for t in solves[:-1]}
+    assert len(distinct) == len(solves) - 1
+    assert model.log_likelihood == kriging_fit_reference(x, y, "poly0").log_likelihood
 
 
 class TestKrigingPredict:
@@ -167,6 +282,19 @@ class TestEvaluateMse:
         y = fn(scale_design(rng.random((1000, 4)), fn.bounds))
         assert np.isfinite(rmse)
         assert rmse < np.std(y)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"num_test_points": 0},
+        {"test_points": np.zeros((5, 3))},
+    ])
+    def test_bad_test_set_rejected_before_fitting(self, monkeypatch, kwargs):
+        def no_fit(*args, **kw):
+            raise AssertionError("kriging_fit called")
+
+        monkeypatch.setattr(surrogate, "kriging_fit", no_fit)
+        fn = get_test_function("wood")
+        with pytest.raises(ValueError, match="test"):
+            evaluate_mse(mlhs(27, 4, seed=1), fn, basis="poly1", **kwargs)
 
     def test_bit_reproducible(self):
         fn = get_test_function("camelback")
