@@ -21,8 +21,10 @@ the design values and re-sums, so it never drifts from a from-scratch
 evaluation; a column swap is committed in O(n) by rescaling two kernel rows,
 and ``resum`` clears the round-off such commits leave in the sums.  The
 coordinate refiners run whole epochs inside the cache: ``gradient_sweep`` and
-``zero_gradient_sweep`` are row-blocked Gauss-Seidel passes, and
-``preview_steps`` scores every fixed-step move in one pass.
+``zero_gradient_sweep`` are row-blocked Gauss-Seidel passes (guarded CZG undoes
+a rejected visit by committing the old value again), ``preview_steps`` scores
+every fixed-step move in one pass, and ``gradient`` applies the one written-out
+partial derivative, ``_slope``, to every coordinate.
 """
 
 from __future__ import annotations
@@ -97,16 +99,6 @@ def _loo_terms(rp_i: float, f1_ij: float, g2_prod: float, g2_ij: float,
     return rp_i / f1_ij, float(g2_prod / g2_ij), kernel_row / f2_column
 
 
-def _visit_terms(x: np.ndarray, a: np.ndarray, rp_i: float, kernel_row: np.ndarray,
-                 i: int, j: int):
-    """x_ij, column j and the leave-one-out terms at (i, j) (O(n + s))."""
-    ai = a[i]
-    g2_row = 1.0 + ai
-    f2_column = _f2(x[i, j], ai[j], x[:, j], a[:, j])
-    terms = _loo_terms(rp_i, _f1(ai[j]), g2_row.prod(), g2_row[j], kernel_row, f2_column)
-    return (x[i, j], x[:, j], *terms)
-
-
 def _pair_sum(x: float, sc: float, column: np.ndarray, p2: float,
               kernel_row_loo: np.ndarray) -> float:
     """Sum over k != i of kernel_row_loo[k] * (sc - sgn(x - x_kj)) / 2.
@@ -116,6 +108,11 @@ def _pair_sum(x: float, sc: float, column: np.ndarray, p2: float,
     """
     w = 0.5 * sc - 0.5 * np.sign(x - column)
     return float(kernel_row_loo @ w) - p2 * 0.5 * sc
+
+
+def _slope(p1, p2, sc, d, pair_sum, n: int):
+    """dCD2/dx_ij from leave-one-out products, sgn(d), d = x_ij - 1/2 and pair sum; broadcasts."""
+    return -(2.0 / n) * p1 * (0.5 * sc - d) + p2 * sc / n**2 + (2.0 / n**2) * pair_sum
 
 
 def cd2(design) -> float:
@@ -142,12 +139,7 @@ def _coordinate_gradient(
     """
     d = x - 0.5
     sc = float(np.sign(d))
-    pair_sum = _pair_sum(x, sc, column, p2, kernel_row_loo)
-    return (
-        -(2.0 / n) * p1 * (0.5 * sc - d)
-        + p2 * sc / n**2
-        + (2.0 / n**2) * pair_sum
-    )
+    return _slope(p1, p2, sc, d, _pair_sum(x, sc, column, p2, kernel_row_loo), n)
 
 
 def _zero_gradient_recursion(
@@ -170,9 +162,8 @@ def _zero_gradient_recursion(
     xt = x0
     for _ in range(t_max):
         sc = float(np.sign(xt - 0.5))
-        pair_sum = _pair_sum(xt, sc, column, p2, kernel_row_loo)
-        a = -(2.0 / n) * p1 * 0.5 * sc + p2 * sc / n**2 + (2.0 / n**2) * pair_sum
-        xt = a / b + 0.5
+        # with the signs frozen the slope is _slope(d = 0) - b * d, zero at d = _slope(0) / b
+        xt = _slope(p1, p2, sc, 0.0, _pair_sum(xt, sc, column, p2, kernel_row_loo), n) / b + 0.5
     return _clamp(xt)
 
 
@@ -183,29 +174,7 @@ def cd2_gradient(design) -> np.ndarray:
     -1 (u < 0); at non-differentiable points (x_ij = 1/2 or column ties)
     sgn(0) = 0 selects a deterministic subgradient.
     """
-    x = as_design_matrix(design)
-    n, s = x.shape
-    a = np.abs(x - 0.5)
-    d = x - 0.5
-    sc = np.sign(d)
-
-    f1 = _f1(a)
-    p1 = np.prod(f1, axis=1, keepdims=True) / f1
-
-    g2 = 1.0 + a
-    p2 = np.prod(g2, axis=1, keepdims=True) / g2
-
-    kernel = _kernel(x, a)
-
-    grad = -(2.0 / n) * p1 * (0.5 * sc - d) + p2 * sc / n**2
-    for j in range(s):
-        col = x[:, j]
-        aj = a[:, j]
-        loo = kernel / _f2(col[:, None], aj[:, None], col[None, :], aj[None, :])
-        w = 0.5 * sc[:, j, None] - 0.5 * np.sign(col[:, None] - col[None, :])
-        pair = np.einsum("ik,ik->i", loo, w) - p2[:, j] * 0.5 * sc[:, j]
-        grad[:, j] += (2.0 / n**2) * pair
-    return grad
+    return DiscrepancyCache(design).gradient()
 
 
 def zero_gradient_solve(design, i: int, j: int, t_max: int = 1) -> float:
@@ -213,17 +182,9 @@ def zero_gradient_solve(design, i: int, j: int, t_max: int = 1) -> float:
 
     Runs the stationarity recursion ``t_max`` times from the current value
     of x_ij (one step is normally sufficient) and returns the result clamped
-    into [0, 1].
+    into [0, 1].  Builds a full cache, so it costs O(n^2 s).
     """
-    x = as_design_matrix(design)
-    n, s = x.shape
-    if not (0 <= i < n and 0 <= j < s):
-        raise IndexError(f"coordinate ({i}, {j}) out of range for a {n}x{s} design")
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    a = np.abs(x - 0.5)
-    rp_i, kernel_row = _kernel_row(x, a, i, j, x[i, j])
-    return _zero_gradient_recursion(*_visit_terms(x, a, rp_i, kernel_row, i, j), n, t_max)
+    return DiscrepancyCache(design).zero_gradient_value(i, j, t_max)
 
 
 class DiscrepancyCache:
@@ -245,8 +206,9 @@ class DiscrepancyCache:
     ``zero_gradient_value`` plus one ``update`` per visit would.  A visit is
     O(ns) elementwise numpy work on the active row's s x n f2 factors, in a
     few calls, and an unguarded sweep re-sums once per epoch (O(n^2));
-    guarded CZG re-sums after every visit.  ``preview_steps`` scores all 2ns
-    fixed-step moves in one O(n^2 s) pass with O(n^2) extra memory.
+    guarded CZG re-sums after every visit and undoes a rejected one by committing
+    the old value again.  ``preview_steps`` scores all 2ns fixed-step moves, and
+    ``gradient`` all ns derivatives, in one O(n^2 s) pass with O(n^2) extra memory.
 
     Single-writer: concurrent mutation is not supported.
     """
@@ -290,11 +252,14 @@ class DiscrepancyCache:
     def value_at(self, i: int, j: int) -> float:
         return float(self._x[i, j])
 
-    def _check_update(self, i: int, j: int, value: float) -> None:
+    def _check_index(self, i: int, j: int) -> None:
         if not (0 <= i < self.n and 0 <= j < self.s):
             raise IndexError(
                 f"coordinate ({i}, {j}) out of range for a {self.n}x{self.s} design"
             )
+
+    def _check_update(self, i: int, j: int, value: float) -> None:
+        self._check_index(i, j)
         if not (0.0 <= value <= 1.0):
             raise ValueError(f"new value {value!r} outside [0, 1]")
 
@@ -331,6 +296,9 @@ class DiscrepancyCache:
         sum, so the pass costs O(n^2 s) work in O(n^2) extra memory.  Its values
         agree with ``preview_update`` up to round-off, not bit for bit.
         """
+        steps = np.asarray(steps, dtype=float)
+        if steps.shape != (self.s,) or not np.all((0.0 < steps) & (steps < np.inf)):
+            raise ValueError(f"steps must be {self.s} finite positive reals, one per column")
         x, a, kernel, rp = self._x, self._a, self._kernel, self._rp
         targets = np.empty((self.n, self.s, 2))
         values = np.empty((self.n, self.s, 2))
@@ -338,8 +306,7 @@ class DiscrepancyCache:
         diagonal = kernel.diagonal()
         for j in range(self.s):
             u, au = x[:, j], a[:, j]
-            loo = kernel / _f2(u[:, None], au[:, None], u, au)
-            p1 = rp / _f1(au)
+            loo, p1 = self._column_loo(j)
             for d, direction in enumerate((1.0, -1.0)):
                 v = np.clip(u + direction * steps[j], 0.0, 1.0)
                 av = np.abs(v - 0.5)
@@ -354,6 +321,27 @@ class DiscrepancyCache:
                 targets[:, j, d] = v
                 values[:, j, d] = np.where(v == u, np.inf, cd2)
         return targets, values
+
+    def _column_loo(self, j: int):
+        """Column j's leave-one-out kernel and f1 products, over factors q != j (O(n^2))."""
+        u, au = self._x[:, j], self._a[:, j]
+        return self._kernel / _f2(u[:, None], au[:, None], u, au), self._rp / _f1(au)
+
+    def gradient(self) -> np.ndarray:
+        """The gradient matrix of CD2 at the cached design (O(n^2 s)); see ``cd2_gradient``."""
+        x, n = self._x, self.n
+        d = x - 0.5
+        sc = np.sign(d)
+        g2 = 1.0 + self._a
+        p2 = np.prod(g2, axis=1, keepdims=True) / g2
+        grad = np.empty_like(x)
+        for j in range(self.s):
+            loo, p1 = self._column_loo(j)
+            col = x[:, j]
+            w = 0.5 * sc[:, j, None] - 0.5 * np.sign(col[:, None] - col)
+            pair = np.einsum("ik,ik->i", loo, w) - p2[:, j] * 0.5 * sc[:, j]
+            grad[:, j] = _slope(p1, p2[:, j], sc[:, j], d[:, j], pair, n)
+        return grad
 
     def _swap_terms(self, r1: int, r2: int, col: int):
         """Sum deltas and f2 ratio vectors of exchanging x_{r1,col} and x_{r2,col}.
@@ -446,16 +434,24 @@ class DiscrepancyCache:
         self.cd2 = self._combine(self._sum_rp, self._sum_kernel)
         return self.cd2
 
+    def _visit_terms(self, i: int, j: int):
+        """x_ij, column j and the leave-one-out terms at (i, j) (O(n + s))."""
+        self._check_index(i, j)
+        x, a = self._x, self._a
+        g2_row = 1.0 + a[i]
+        terms = _loo_terms(self._rp[i], _f1(a[i, j]), g2_row.prod(), g2_row[j], self._kernel[i],
+                           _f2(x[i, j], a[i, j], x[:, j], a[:, j]))
+        return (x[i, j], x[:, j], *terms)
+
     def coordinate_gradient(self, i: int, j: int) -> float:
         """dCD2/dx_ij at the cached design (O(n + s))."""
-        terms = _visit_terms(self._x, self._a, self._rp[i], self._kernel[i], i, j)
-        return _coordinate_gradient(*terms, self.n)
+        return _coordinate_gradient(*self._visit_terms(i, j), self.n)
 
     def zero_gradient_value(self, i: int, j: int, t_max: int = 1) -> float:
         """Stationarity recursion at (i, j) from cached state; clamped."""
+        terms = self._visit_terms(i, j)
         if t_max < 1:
             raise ValueError("t_max must be >= 1")
-        terms = _visit_terms(self._x, self._a, self._rp[i], self._kernel[i], i, j)
         return _zero_gradient_recursion(*terms, self.n, t_max)
 
     def gradient_sweep(self, step_size: float) -> float:
@@ -464,6 +460,8 @@ class DiscrepancyCache:
         Visits the coordinates in row-major order with in-place updates and
         clamps each new value into [0, 1]; see ``_sweep`` for the cost.
         """
+        if not 0.0 <= step_size < np.inf:
+            raise ValueError(f"step_size must be finite and >= 0, got {step_size!r}")
         n = self.n
         return self._sweep(
             lambda x, *terms: _clamp(x - step_size * _coordinate_gradient(x, *terms, n))
@@ -483,7 +481,7 @@ class DiscrepancyCache:
         )
 
     def _sweep(self, rule, guarded: bool = False) -> float:
-        """Row-blocked Gauss-Seidel pass: x_ij = rule(*_visit_terms) at every (i, j).
+        """Row-blocked Gauss-Seidel pass: x_ij = rule(*self._visit_terms(i, j)) at every (i, j).
 
         When the pass reaches row i it builds the row's s x n f2 factors and
         its f1 and (1 + |x - 1/2|) factors once.  A visit divides the kernel
@@ -492,34 +490,35 @@ class DiscrepancyCache:
         few numpy calls, leaving every array exactly as ``update`` would.  An
         unguarded pass re-sums once at the end (O(n^2)); a guarded one
         re-sums after every visit, because it compares CD2 there, and undoes
-        a rejected visit by restoring the entries it saved.
+        a rejected visit by committing the old value again and restoring the
+        three sums.
         """
         self._previewed = None, None
         x, a, kernel, rp = self._x, self._a, self._kernel, self._rp
         # column-major copies, so that every column read below is contiguous
         xt, at = x.T.copy(), a.T.copy()
+
+        def commit(i, j, value):
+            x[i, j] = xt[j, i] = value
+            a[i, j] = at[j, i] = aij = abs(value - 0.5)
+            f1_row[j], g2_row[j] = _f1(aij), 1.0 + aij
+            f2_t[j] = _f2(value, aij, xt[j], at[j])
+            row = f2_t.prod(axis=0)
+            # the diagonal pairs the new row with itself
+            row[i] = g2_prod = g2_row.prod()
+            rp[i] = f1_row.prod()
+            kernel[i] = kernel[:, i] = row
+            return g2_prod
+
         for i in range(self.n):
             f2_t = _f2(x[i, :, None], a[i, :, None], xt, at)  # f2_t[j, k] = f2(x_ij, x_kj)
             f1_row, g2_row = _f1(a[i]), 1.0 + a[i]
             g2_prod = g2_row.prod()
             for j in range(self.s):
                 terms = _loo_terms(rp[i], f1_row[j], g2_prod, g2_row[j], kernel[i], f2_t[j])
-                value = rule(x[i, j], xt[j], *terms)
-                if guarded:
-                    saved = (x[i, j], a[i, j], f1_row[j], g2_row[j], g2_prod, f2_t[j].copy(),
-                             kernel[i].copy(), rp[i], self._sum_rp, self._sum_kernel, self.cd2)
-                x[i, j] = xt[j, i] = value
-                a[i, j] = at[j, i] = aij = abs(value - 0.5)
-                f1_row[j], g2_row[j] = _f1(aij), 1.0 + aij
-                f2_t[j] = _f2(value, aij, xt[j], at[j])
-                row = f2_t.prod(axis=0)
-                # the diagonal pairs the new row with itself
-                row[i] = g2_prod = g2_row.prod()
-                rp[i] = f1_row.prod()
-                kernel[i] = kernel[:, i] = row
-                if guarded and self.resum() > saved[-1]:
-                    (x[i, j], a[i, j], f1_row[j], g2_row[j], g2_prod, f2_t[j], row, rp[i],
-                     self._sum_rp, self._sum_kernel, self.cd2) = saved
-                    xt[j, i], at[j, i] = x[i, j], a[i, j]
-                    kernel[i] = kernel[:, i] = row
+                old, sums = x[i, j], (self._sum_rp, self._sum_kernel, self.cd2)
+                g2_prod = commit(i, j, rule(old, xt[j], *terms))
+                if guarded and self.resum() > sums[-1]:
+                    g2_prod = commit(i, j, old)
+                    self._sum_rp, self._sum_kernel, self.cd2 = sums
         return self.resum()

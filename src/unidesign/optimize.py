@@ -172,12 +172,9 @@ def cdfss(init, config: RefinerConfig | None = None) -> RefineResult:
     """
     config = config or RefinerConfig()
     cache = DiscrepancyCache(init)
-    if config.column_steps is None:
+    steps = config.column_steps
+    if steps is None:
         steps = np.full(cache.s, 1.0 / (2 * cache.n))
-    else:
-        steps = np.asarray(config.column_steps, dtype=float)
-        if steps.shape != (cache.s,):
-            raise ValueError(f"column_steps must have length s={cache.s}")
 
     def epoch():
         base = cache.cd2

@@ -5,7 +5,10 @@ These deliberately mirror the defining formulas with plain loops and stay
 independent of the vectorized/cached production paths they are used to check.
 The reference refiners visit one coordinate per public ``DiscrepancyCache``
 call, so the production refiners' row-blocked sweeps and one-pass CDFSS
-scoring must reproduce them bit for bit.  The reference Kriging fit solves
+scoring must reproduce them bit for bit.  The reference gradient matrix and
+zero-gradient solve build their own kernels, so ``cd2_gradient`` and
+``zero_gradient_solve``, which run through one cache, must reproduce them
+bit for bit too.  The reference Kriging fit solves
 every likelihood through scipy.linalg's checked wrappers and keeps no memo,
 so ``kriging_fit``'s direct LAPACK calls must reproduce it bit for bit.
 """
@@ -15,6 +18,7 @@ from scipy.linalg import cholesky, qr, solve_triangular
 from scipy.optimize import minimize
 
 from unidesign import DiscrepancyCache, KrigingModel, RefinerConfig, basis_matrix, cd2
+from unidesign.discrepancy import _f1, _f2, _kernel, as_design_matrix
 from unidesign.surrogate import DEFAULT_NUGGET, DEFAULT_THETA_BOUNDS
 
 
@@ -71,6 +75,60 @@ def gradient_relative_error(
     """
     denom = np.maximum(np.abs(finite), floor)
     return float(np.max(np.abs(analytic - finite) / denom))
+
+
+def cd2_gradient_reference(design) -> np.ndarray:
+    """The gradient matrix from its own kernel, column by column."""
+    x = as_design_matrix(design)
+    n, s = x.shape
+    a = np.abs(x - 0.5)
+    d = x - 0.5
+    sc = np.sign(d)
+
+    f1 = _f1(a)
+    p1 = np.prod(f1, axis=1, keepdims=True) / f1
+
+    g2 = 1.0 + a
+    p2 = np.prod(g2, axis=1, keepdims=True) / g2
+
+    kernel = _kernel(x, a)
+
+    grad = -(2.0 / n) * p1 * (0.5 * sc - d) + p2 * sc / n**2
+    for j in range(s):
+        col = x[:, j]
+        aj = a[:, j]
+        loo = kernel / _f2(col[:, None], aj[:, None], col[None, :], aj[None, :])
+        w = 0.5 * sc[:, j, None] - 0.5 * np.sign(col[:, None] - col[None, :])
+        pair = np.einsum("ik,ik->i", loo, w) - p2[:, j] * 0.5 * sc[:, j]
+        grad[:, j] += (2.0 / n**2) * pair
+    return grad
+
+
+def zero_gradient_solve_reference(design, i: int, j: int, t_max: int = 1) -> float:
+    """The frozen-sign stationarity recursion at (i, j) from row i's kernel alone (O(ns))."""
+    x = as_design_matrix(design)
+    n, s = x.shape
+    if not (0 <= i < n and 0 <= j < s):
+        raise IndexError(f"coordinate ({i}, {j}) out of range for a {n}x{s} design")
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    a = np.abs(x - 0.5)
+    ai = a[i]
+    kernel_row = np.prod(_f2(x[i][None, :], ai[None, :], x, a), axis=1)
+    kernel_row[i] = np.prod(1.0 + ai)
+    g2_row = 1.0 + ai
+    column = x[:, j]
+    p1 = float(np.prod(_f1(ai))) / _f1(ai[j])
+    p2 = float(g2_row.prod() / g2_row[j])
+    kernel_row_loo = kernel_row / _f2(x[i, j], ai[j], column, a[:, j])
+    b = -(2.0 / n) * p1
+    xt = x[i, j]
+    for _ in range(t_max):
+        sc = float(np.sign(xt - 0.5))
+        w = 0.5 * sc - 0.5 * np.sign(xt - column)
+        pair_sum = float(kernel_row_loo @ w) - p2 * 0.5 * sc
+        xt = (-(2.0 / n) * p1 * 0.5 * sc + p2 * sc / n**2 + (2.0 / n**2) * pair_sum) / b + 0.5
+    return min(1.0, max(0.0, xt))
 
 
 def off_kink_design(n: int, s: int, seed: int, gap: float = 1e-3) -> np.ndarray:

@@ -7,10 +7,12 @@ from scipy.stats import qmc
 from unidesign import DiscrepancyCache, cd2, cd2_gradient, zero_gradient_solve
 from conftest import UD18X7_CD2, UD27X13_CD2
 from oracles import (
+    cd2_gradient_reference,
     cd2_reference,
     central_difference_gradient,
     gradient_relative_error,
     off_kink_design,
+    zero_gradient_solve_reference,
 )
 
 
@@ -103,6 +105,72 @@ class TestGradient:
         g2 = cd2_gradient(x)
         assert np.all(np.isfinite(g1))
         assert np.array_equal(g1, g2)
+
+
+def _kind_design(kind, n, s, rng):
+    if kind == "random":
+        return rng.random((n, s))
+    if kind == "lattice":
+        return (np.argsort(rng.random((n, s)), axis=0) + 0.5) / n
+    # kinks at 0.5, ties within columns and points on the boundary, where the
+    # derivative takes its sgn(0) = 0 branches
+    return rng.integers(0, 5, (n, s)) / 4
+
+
+_SHAPES = [(1, 1), (1, 4), (3, 1), (2, 3), (5, 2), (9, 4), (18, 7), (27, 13)]
+
+
+class TestOneDerivative:
+    """The cache's gradient and zero-gradient paths equal the oracles bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["random", "lattice", "kinks"])
+    def test_gradient_matches_reference_bit_for_bit(self, kind):
+        rng = np.random.default_rng(21)
+        for n, s in _SHAPES:
+            x = _kind_design(kind, n, s, rng)
+            assert cd2_gradient(x).tobytes() == cd2_gradient_reference(x).tobytes()
+            cache = DiscrepancyCache(x)
+            assert cache.gradient().tobytes() == cd2_gradient_reference(x).tobytes()
+
+    @pytest.mark.parametrize("kind", ["random", "lattice", "kinks"])
+    def test_zero_gradient_matches_reference_bit_for_bit(self, kind):
+        rng = np.random.default_rng(22)
+        for n, s in _SHAPES:
+            x = _kind_design(kind, n, s, rng)
+            cache = DiscrepancyCache(x)
+            for i in range(n):
+                for j in range(s):
+                    for t_max in (1, 3):
+                        expected = zero_gradient_solve_reference(x, i, j, t_max)
+                        assert zero_gradient_solve(x, i, j, t_max) == expected
+                        assert cache.zero_gradient_value(i, j, t_max) == expected
+
+    def test_gradient_after_commits_matches_fresh(self):
+        # swap commits rescale kernel rows, so the cached arrays carry
+        # round-off; measured at most ~6e-17 of term_scale over 60 runs
+        # of 600 swaps and 20 updates, so 1e-14 leaves a wide margin
+        rng = np.random.default_rng(23)
+        for n, s in [(6, 2), (18, 7), (27, 13)]:
+            cache = DiscrepancyCache(_kind_design("lattice", n, s, rng))
+            for k in range(320):
+                if k % 16 == 15:
+                    cache.update(int(rng.integers(n)), int(rng.integers(s)), float(rng.random()))
+                else:
+                    r1, r2 = rng.choice(n, 2, replace=False)
+                    cache.apply_column_swap(int(r1), int(r2), int(rng.integers(s)))
+            fresh = cd2_gradient(cache.design)
+            assert np.max(np.abs(cache.gradient() - fresh)) <= 1e-14 * cache.term_scale
+
+    @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (-1, -1), (-5, 0), (4, 0), (0, 3)])
+    def test_per_visit_methods_check_indices(self, i, j):
+        x = random_design(4, 3, seed=3)
+        cache = DiscrepancyCache(x)
+        with pytest.raises(IndexError):
+            cache.coordinate_gradient(i, j)
+        with pytest.raises(IndexError):
+            cache.zero_gradient_value(i, j)
+        with pytest.raises(IndexError):
+            zero_gradient_solve(x, i, j)
 
 
 def assert_matches_fresh(cache: DiscrepancyCache, rel: float = 1e-12) -> None:
@@ -282,6 +350,14 @@ class TestSweeps:
         with pytest.raises(ValueError):
             DiscrepancyCache([[0.3]]).zero_gradient_sweep(t_max=0)
 
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), -float("inf"), -0.1])
+    def test_gradient_sweep_rejects_bad_step(self, step):
+        cache = DiscrepancyCache(random_design(4, 3, seed=3))
+        before = _state(cache)
+        with pytest.raises(ValueError):
+            cache.gradient_sweep(step)
+        assert _state(cache) == before
+
 
 class TestPreviewSteps:
     @pytest.mark.parametrize("kind", ["random", "lattice", "kinks"])
@@ -312,6 +388,12 @@ class TestPreviewSteps:
                             continue
                         exact = cache.preview_update(i, j, v)
                         assert abs(values[i, j, d] - exact) <= 1e-14 * cache.term_scale
+
+    @pytest.mark.parametrize("steps", [[0.1] * 5, [0.1] * 2, [0.1, 0.0, 0.1], [0.1, -0.1, 0.1],
+                                       [0.1, float("nan"), 0.1], [0.1, float("inf"), 0.1]])
+    def test_rejects_bad_steps(self, steps):
+        with pytest.raises(ValueError):
+            DiscrepancyCache(random_design(4, 3, seed=3)).preview_steps(steps)
 
     def test_clamped_moves_read_inf(self):
         cache = DiscrepancyCache([[0.0, 1.0], [1.0, 0.5]])
