@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, optimize
 from .benchfns import get_test_function, scale_design
-from .discrepancy import cd2, cd2_gradient
+from .discrepancy import DiscrepancyCache
 from .lattice import OptimizationTrace, TaConfig, embed, random_utype, ta_optimize
 from .optimize import RefinerConfig
 from .sampling import lhd, lhs, mlhs
@@ -248,10 +248,10 @@ def _cmd_construct(args, argv) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    design = read_design_csv(args.design)
-    print(f"{cd2(design):.10g}")
+    cache = DiscrepancyCache(read_design_csv(args.design))
+    print(f"{cache.cd2:.10g}")
     if args.gradient:
-        for row in cd2_gradient(design):
+        for row in cache.gradient():
             print(",".join(f"{v:.10g}" for v in row))
     return EXIT_OK
 

@@ -24,7 +24,8 @@ coordinate refiners run whole epochs inside the cache: ``gradient_sweep`` and
 ``zero_gradient_sweep`` are row-blocked Gauss-Seidel passes (guarded CZG undoes
 a rejected visit by committing the old value again), ``preview_steps`` scores
 every fixed-step move in one pass, and ``gradient`` applies the one written-out
-partial derivative, ``_slope``, to every coordinate.
+partial derivative, ``_slope``, to every coordinate.  The kernel build and
+``gradient`` run in fixed row blocks and make no n x n temporaries.
 """
 
 from __future__ import annotations
@@ -69,11 +70,32 @@ def _f2(u, au, w, aw):
     return 1.0 + 0.5 * (au + aw) - 0.5 * np.abs(u - w)
 
 
+_BLOCK = 64  # rows per block of the O(n^2 s) passes; 16 to 256 measure alike at n = 2000
+
+
+def _f2_rows(out, tmp, u, au, w, aw) -> None:
+    """Write f2(u_r, w_k) into ``out`` (len(u) x len(w)) in ``_f2``'s operation order; ``tmp`` is scratch."""
+    np.add(au[:, None], aw, out=out)
+    out *= 0.5
+    out += 1.0
+    np.subtract(u[:, None], w, out=tmp)
+    np.abs(tmp, out=tmp)
+    tmp *= 0.5
+    out -= tmp
+
+
 def _kernel(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The n x n pairwise kernel, entry (i, l) = prod_k f2(x_ik, x_lk)."""
-    kernel = np.ones((x.shape[0], x.shape[0]))
-    for k in range(x.shape[1]):
-        kernel *= _f2(x[:, k, None], a[:, k, None], x[None, :, k], a[None, :, k])
+    """The n x n pairwise kernel, entry (i, l) = prod_k f2(x_ik, x_lk), in row blocks."""
+    n = x.shape[0]
+    xt, at = x.T.copy(), a.T.copy()  # contiguous columns
+    kernel = np.ones((n, n))
+    f2, tmp = np.empty((2, min(_BLOCK, n), n))
+    for r0 in range(0, n, _BLOCK):
+        rows = slice(r0, r0 + _BLOCK)
+        m = min(_BLOCK, n - r0)
+        for u, au in zip(xt, at):
+            _f2_rows(f2[:m], tmp[:m], u[rows], au[rows], u, au)
+            kernel[rows] *= f2[:m]
     return kernel
 
 
@@ -207,8 +229,9 @@ class DiscrepancyCache:
     O(ns) elementwise numpy work on the active row's s x n f2 factors, in a
     few calls, and an unguarded sweep re-sums once per epoch (O(n^2));
     guarded CZG re-sums after every visit and undoes a rejected one by committing
-    the old value again.  ``preview_steps`` scores all 2ns fixed-step moves, and
-    ``gradient`` all ns derivatives, in one O(n^2 s) pass with O(n^2) extra memory.
+    the old value again.  ``preview_steps`` scores all 2ns fixed-step moves in one
+    O(n^2 s) pass with O(n^2) extra memory; the kernel build and ``gradient`` (all
+    ns derivatives, O(n^2 s)) run in ``_BLOCK``-row blocks with O(_BLOCK * n) scratch.
 
     Single-writer: concurrent mutation is not supported.
     """
@@ -250,6 +273,7 @@ class DiscrepancyCache:
         return self._const + (2.0 / self.n) * self._sum_rp + self._sum_kernel / self.n**2
 
     def value_at(self, i: int, j: int) -> float:
+        self._check_index(i, j)
         return float(self._x[i, j])
 
     def _check_index(self, i: int, j: int) -> None:
@@ -306,7 +330,8 @@ class DiscrepancyCache:
         diagonal = kernel.diagonal()
         for j in range(self.s):
             u, au = x[:, j], a[:, j]
-            loo, p1 = self._column_loo(j)
+            # leave-one-out kernel and f1 products, over factors q != j
+            loo, p1 = kernel / _f2(u[:, None], au[:, None], u, au), rp / _f1(au)
             for d, direction in enumerate((1.0, -1.0)):
                 v = np.clip(u + direction * steps[j], 0.0, 1.0)
                 av = np.abs(v - 0.5)
@@ -322,26 +347,31 @@ class DiscrepancyCache:
                 values[:, j, d] = np.where(v == u, np.inf, cd2)
         return targets, values
 
-    def _column_loo(self, j: int):
-        """Column j's leave-one-out kernel and f1 products, over factors q != j (O(n^2))."""
-        u, au = self._x[:, j], self._a[:, j]
-        return self._kernel / _f2(u[:, None], au[:, None], u, au), self._rp / _f1(au)
-
     def gradient(self) -> np.ndarray:
         """The gradient matrix of CD2 at the cached design (O(n^2 s)); see ``cd2_gradient``."""
-        x, n = self._x, self.n
+        x, a, n = self._x, self._a, self.n
         d = x - 0.5
         sc = np.sign(d)
-        g2 = 1.0 + self._a
+        g2 = 1.0 + a
         p2 = np.prod(g2, axis=1, keepdims=True) / g2
-        grad = np.empty_like(x)
-        for j in range(self.s):
-            loo, p1 = self._column_loo(j)
-            col = x[:, j]
-            w = 0.5 * sc[:, j, None] - 0.5 * np.sign(col[:, None] - col)
-            pair = np.einsum("ik,ik->i", loo, w) - p2[:, j] * 0.5 * sc[:, j]
-            grad[:, j] = _slope(p1, p2[:, j], sc[:, j], d[:, j], pair, n)
-        return grad
+        xt, at = x.T.copy(), a.T.copy()  # contiguous columns
+        sums = np.empty_like(x)
+        loo, w = np.empty((2, min(_BLOCK, n), n))
+        for r0 in range(0, n, _BLOCK):
+            rows = slice(r0, r0 + _BLOCK)
+            kernel = self._kernel[rows]
+            lb, wb = loo[:len(kernel)], w[:len(kernel)]
+            for j, (u, au) in enumerate(zip(xt, at)):
+                # lb = kernel / f2 and wb = sc/2 - sgn(x_ij - x_kj)/2, in place
+                _f2_rows(lb, wb, u[rows], au[rows], u, au)
+                np.divide(kernel, lb, out=lb)
+                np.subtract(u[rows, None], u, out=wb)
+                np.sign(wb, out=wb)
+                wb *= 0.5
+                np.subtract(0.5 * sc[rows, j, None], wb, out=wb)
+                sums[rows, j] = np.einsum("ik,ik->i", lb, wb)
+        pair = sums - p2 * 0.5 * sc
+        return _slope(self._rp[:, None] / _f1(a), p2, sc, d, pair, n)
 
     def _swap_terms(self, r1: int, r2: int, col: int):
         """Sum deltas and f2 ratio vectors of exchanging x_{r1,col} and x_{r2,col}.

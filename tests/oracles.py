@@ -5,10 +5,11 @@ These deliberately mirror the defining formulas with plain loops and stay
 independent of the vectorized/cached production paths they are used to check.
 The reference refiners visit one coordinate per public ``DiscrepancyCache``
 call, so the production refiners' row-blocked sweeps and one-pass CDFSS
-scoring must reproduce them bit for bit.  The reference gradient matrix and
-zero-gradient solve build their own kernels, so ``cd2_gradient`` and
-``zero_gradient_solve``, which run through one cache, must reproduce them
-bit for bit too.  The reference Kriging fit solves
+scoring must reproduce them bit for bit.  ``kernel_reference`` builds the
+pairwise kernel as whole n x n products, and the reference CD2, gradient
+matrix and zero-gradient solve build their own kernels, so the cache's
+row-blocked kernel, ``cd2``, ``cd2_gradient`` and ``zero_gradient_solve``
+must reproduce them bit for bit too.  The reference Kriging fit solves
 every likelihood through scipy.linalg's checked wrappers and keeps no memo,
 so ``kriging_fit``'s direct LAPACK calls must reproduce it bit for bit.
 """
@@ -18,7 +19,7 @@ from scipy.linalg import cholesky, qr, solve_triangular
 from scipy.optimize import minimize
 
 from unidesign import DiscrepancyCache, KrigingModel, RefinerConfig, basis_matrix, cd2
-from unidesign.discrepancy import _f1, _f2, _kernel, as_design_matrix
+from unidesign.discrepancy import _f1, _f2, as_design_matrix
 from unidesign.surrogate import DEFAULT_NUGGET, DEFAULT_THETA_BOUNDS
 
 
@@ -77,6 +78,23 @@ def gradient_relative_error(
     return float(np.max(np.abs(analytic - finite) / denom))
 
 
+def kernel_reference(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The n x n pairwise f2 kernel as full-matrix products, one factor at a time."""
+    kernel = np.ones((x.shape[0], x.shape[0]))
+    for k in range(x.shape[1]):
+        kernel *= _f2(x[:, k, None], a[:, k, None], x[None, :, k], a[None, :, k])
+    return kernel
+
+
+def cd2_kernel_reference(design) -> float:
+    """CD2 from ``kernel_reference`` and the f1 row products, summed as whole arrays."""
+    x = as_design_matrix(design)
+    n, s = x.shape
+    a = np.abs(x - 0.5)
+    sum_rp = float(np.prod(_f1(a), axis=1).sum())
+    return (13.0 / 12.0) ** s - (2.0 / n) * sum_rp + float(kernel_reference(x, a).sum()) / n**2
+
+
 def cd2_gradient_reference(design) -> np.ndarray:
     """The gradient matrix from its own kernel, column by column."""
     x = as_design_matrix(design)
@@ -91,7 +109,7 @@ def cd2_gradient_reference(design) -> np.ndarray:
     g2 = 1.0 + a
     p2 = np.prod(g2, axis=1, keepdims=True) / g2
 
-    kernel = _kernel(x, a)
+    kernel = kernel_reference(x, a)
 
     grad = -(2.0 / n) * p1 * (0.5 * sc - d) + p2 * sc / n**2
     for j in range(s):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unidesign import cli
+from unidesign import cd2, cd2_gradient, cli, discrepancy
 from unidesign.cli import main, read_design_csv, write_matrix_csv
 from conftest import FIXTURES, UD18X7_CD2
 
@@ -39,6 +39,19 @@ class TestEvaluate:
         lines = out.strip().splitlines()
         assert len(lines) == 3  # cd2 then one line per run
         assert len(lines[1].split(",")) == 2
+
+    def test_gradient_builds_one_kernel(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        write_matrix_csv(str(path), np.random.default_rng(5).random((9, 3)))
+        x = read_design_csv(str(path))
+        expected = [f"{cd2(x):.10g}"] + [",".join(f"{v:.10g}" for v in row) for row in cd2_gradient(x)]
+        calls = []
+        build = discrepancy._kernel
+        monkeypatch.setattr(discrepancy, "_kernel", lambda *a: calls.append(1) or build(*a))
+        code, out, _ = run(capsys, "evaluate", "--design", str(path), "--gradient")
+        assert code == 0
+        assert len(calls) == 1
+        assert out.splitlines() == expected
 
     def test_ragged_rows_exit_3(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

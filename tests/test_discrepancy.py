@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,15 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 from unidesign import DiscrepancyCache, cd2, cd2_gradient, zero_gradient_solve
+from unidesign.discrepancy import _BLOCK
 from conftest import UD18X7_CD2, UD27X13_CD2
 from oracles import (
     cd2_gradient_reference,
+    cd2_kernel_reference,
     cd2_reference,
     central_difference_gradient,
     gradient_relative_error,
+    kernel_reference,
     off_kink_design,
     zero_gradient_solve_reference,
 )
@@ -166,11 +171,42 @@ class TestOneDerivative:
         x = random_design(4, 3, seed=3)
         cache = DiscrepancyCache(x)
         with pytest.raises(IndexError):
+            cache.value_at(i, j)
+        with pytest.raises(IndexError):
             cache.coordinate_gradient(i, j)
         with pytest.raises(IndexError):
             cache.zero_gradient_value(i, j)
         with pytest.raises(IndexError):
             zero_gradient_solve(x, i, j)
+
+
+class TestRowBlocks:
+    """The row-blocked kernel build and gradient pass equal whole-matrix references."""
+
+    @pytest.mark.parametrize("kind", ["random", "lattice", "kinks"])
+    @pytest.mark.parametrize(
+        "n, s", [(n, 3) for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)] + [(500, 10)]
+    )
+    def test_matches_full_matrix_references_bit_for_bit(self, kind, n, s):
+        x = _kind_design(kind, n, s, np.random.default_rng(n))
+        kernel = kernel_reference(x, np.abs(x - 0.5))
+        assert DiscrepancyCache(x).kernel.tobytes() == kernel.tobytes()
+        assert np.float64(cd2(x)).tobytes() == np.float64(cd2_kernel_reference(x)).tobytes()
+        assert cd2_gradient(x).tobytes() == cd2_gradient_reference(x).tobytes()
+
+    @pytest.mark.parametrize("fn", [cd2, cd2_gradient])
+    def test_peak_memory_is_about_one_kernel(self, fn):
+        # the kernel itself is 8 n^2 bytes; whole-matrix f2 temporaries would
+        # add at least two more n x n arrays
+        n = 1000
+        x = random_design(n, 3, seed=4)
+        tracemalloc.start()
+        try:
+            fn(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n * n
 
 
 def assert_matches_fresh(cache: DiscrepancyCache, rel: float = 1e-12) -> None:
