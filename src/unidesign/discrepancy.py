@@ -24,8 +24,9 @@ coordinate refiners run whole epochs inside the cache: ``gradient_sweep`` and
 ``zero_gradient_sweep`` are row-blocked Gauss-Seidel passes (guarded CZG undoes
 a rejected visit by committing the old value again), ``preview_steps`` scores
 every fixed-step move in one pass, and ``gradient`` applies the one written-out
-partial derivative, ``_slope``, to every coordinate.  The kernel build and
-``gradient`` run in fixed row blocks and make no n x n temporaries.
+partial derivative, ``_slope``, to every coordinate.  The kernel build,
+``gradient`` and ``preview_steps`` run in fixed row blocks and make no n x n
+temporaries.
 """
 
 from __future__ import annotations
@@ -229,9 +230,10 @@ class DiscrepancyCache:
     O(ns) elementwise numpy work on the active row's s x n f2 factors, in a
     few calls, and an unguarded sweep re-sums once per epoch (O(n^2));
     guarded CZG re-sums after every visit and undoes a rejected one by committing
-    the old value again.  ``preview_steps`` scores all 2ns fixed-step moves in one
-    O(n^2 s) pass with O(n^2) extra memory; the kernel build and ``gradient`` (all
-    ns derivatives, O(n^2 s)) run in ``_BLOCK``-row blocks with O(_BLOCK * n) scratch.
+    the old value again.  ``preview_steps`` (all 2ns fixed-step moves), the kernel
+    build and ``gradient`` (all ns derivatives) are O(n^2 s) passes in ``_BLOCK``-row
+    blocks with O(_BLOCK * n) scratch.  ``_swap_deltas`` scores K swaps in one O(Kn)
+    pass, to round-off of ``preview_column_swap``, for threshold accepting's screen.
 
     Single-writer: concurrent mutation is not supported.
     """
@@ -317,34 +319,39 @@ class DiscrepancyCache:
         the moved coordinate and the CD2 the move gives, ``inf`` where clamping
         leaves x_ij unchanged.  Column by column, the kernel divided by the old
         f2 factors and multiplied by the new ones gives every candidate row's
-        sum, so the pass costs O(n^2 s) work in O(n^2) extra memory.  Its values
-        agree with ``preview_update`` up to round-off, not bit for bit.
+        sum, so the pass costs O(n^2 s) work in ``_BLOCK``-row blocks with O(_BLOCK * n) scratch.
+        Its values agree with ``preview_update`` up to round-off, not bit for bit.
         """
         steps = np.asarray(steps, dtype=float)
         if steps.shape != (self.s,) or not np.all((0.0 < steps) & (steps < np.inf)):
             raise ValueError(f"steps must be {self.s} finite positive reals, one per column")
-        x, a, kernel, rp = self._x, self._a, self._kernel, self._rp
-        targets = np.empty((self.n, self.s, 2))
-        values = np.empty((self.n, self.s, 2))
-        row_sums = kernel.sum(axis=1)
-        diagonal = kernel.diagonal()
-        for j in range(self.s):
-            u, au = x[:, j], a[:, j]
-            # leave-one-out kernel and f1 products, over factors q != j
-            loo, p1 = kernel / _f2(u[:, None], au[:, None], u, au), rp / _f1(au)
-            for d, direction in enumerate((1.0, -1.0)):
-                v = np.clip(u + direction * steps[j], 0.0, 1.0)
+        kernel, n = self._kernel, self.n
+        targets, values = np.empty((2, n, self.s, 2))
+        all_row_sums, all_diagonal = kernel.sum(axis=1), kernel.diagonal()
+        xt, at = self._x.T.copy(), self._a.T.copy()  # contiguous columns
+        loo, f2_new, tmp = np.empty((3, min(_BLOCK, n), n))
+        for r0 in range(0, n, _BLOCK):
+            rows, m = slice(r0, r0 + _BLOCK), min(_BLOCK, n - r0)
+            kb, rp, row_sums, diagonal = kernel[rows], self._rp[rows], all_row_sums[rows], all_diagonal[rows]
+            lb, fb, tb, sums = loo[:m], f2_new[:m], tmp[:m], np.empty((2, m))
+            fb_diagonal = fb.reshape(-1)[r0::n + 1]  # entries (r, r0 + r): a moved point with itself
+            for j, (column, a_column) in enumerate(zip(xt, at)):
+                u, au = column[rows], a_column[rows]
+                # leave-one-out kernel, over factors q != j
+                _f2_rows(lb, tb, u, au, column, a_column)
+                np.divide(kb, lb, out=lb)
+                v = np.clip(u + np.array([[steps[j]], [-steps[j]]]), 0.0, 1.0)  # rows: + and - moves
                 av = np.abs(v - 0.5)
-                f2_new = _f2(v[:, None], av[:, None], u, au)
-                # the diagonal pairs the moved point with itself
                 g2_new = 1.0 + av
-                np.fill_diagonal(f2_new, g2_new)
-                new_sums = np.einsum("ik,ik->i", loo, f2_new)
-                d_kernel = 2.0 * (new_sums - row_sums) - (loo.diagonal() * g2_new - diagonal)
-                d_rp = p1 * _f1(av) - rp
+                for d in range(2):
+                    _f2_rows(fb, tb, v[d], av[d], column, a_column)
+                    fb_diagonal[:] = g2_new[d]
+                    sums[d] = np.einsum("ik,ik->i", lb, fb)
+                d_kernel = 2.0 * (sums - row_sums) - (lb[:, rows].diagonal() * g2_new - diagonal)
+                d_rp = rp / _f1(au) * _f1(av) - rp
                 cd2 = self._combine(self._sum_rp + d_rp, self._sum_kernel + d_kernel)
-                targets[:, j, d] = v
-                values[:, j, d] = np.where(v == u, np.inf, cd2)
+                targets[rows, j] = v.T
+                values[rows, j] = np.where(v == u, np.inf, cd2).T
         return targets, values
 
     def gradient(self) -> np.ndarray:
@@ -410,6 +417,28 @@ class DiscrepancyCache:
         g_ratio = (1.0 + av) / (1.0 + au)
         d_diag = k11 * (g_ratio - 1.0) + k22 * (1.0 / g_ratio - 1.0)
         return d_rp, 2.0 * (d1 + d2) + d_diag, f1_ratio, g_ratio, ratio, inv
+
+    def _swap_deltas(self, rows1, rows2, cols) -> np.ndarray:
+        """CD2 change of each exchange of x[rows1[k], cols[k]] and x[rows2[k], cols[k]] (O(Kn)).
+
+        ``_swap_terms`` on K x 2 x n arrays in another summation order: ``preview_column_swap(...)
+        - cd2`` to ~1e-16 * ``term_scale``, and exactly 0 for u == v.  No state change.
+        """
+        x, a, kernel, n, c = self._x, self._a, self._kernel, self.n, cols[:, None]
+        rows = np.stack([rows1, rows2], axis=1)
+        xs, axs = x.take(rows * self.s + c), a.take(rows * self.s + c)  # u, v and their |. - 1/2|
+        # 2 * f2 of u (first) and of v with each point of the column, in place
+        f2, terms = a.T[c] + (axs + 2.0)[..., None], x.T[c] - xs[..., None]
+        f2 -= np.abs(terms, out=terms)
+        # rows r1, r2 scale by f2(v, .)/f2(u, .) and its inverse, but for entry (r1, r2) and the diagonal
+        np.divide(f2[:, ::-1], f2, out=terms)
+        terms -= 1.0
+        terms *= kernel[rows]
+        terms[np.arange(len(cols))[:, None], :, rows] = 0.0
+        g2, f1 = 1.0 + axs, _f1(axs)
+        ends = (kernel.diagonal()[rows] * (g2[:, ::-1] / g2 - 1.0)
+                - (2.0 * n) * self._rp[rows] * (f1[:, ::-1] / f1 - 1.0))
+        return (2.0 * terms.reshape(len(cols), -1).sum(axis=1) + ends.sum(axis=1)) / n**2
 
     def preview_column_swap(self, r1: int, r2: int, col: int) -> float:
         """CD2 after exchanging x_{r1,col} and x_{r2,col}; no state change (O(n))."""

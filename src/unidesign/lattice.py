@@ -5,6 +5,8 @@ each level 1..q exactly n/q times; it embeds into [0,1]^s at (l - 0.5)/q.
 Threshold accepting walks the swap neighborhood (exchange two entries of one
 column), accepting a candidate iff its CD2 worsens the current value by at
 most a threshold drawn from a decreasing schedule that ends at exactly zero.
+After a run of rejects a stage screens its swaps a block at a time and previews
+exactly only those that can pass, with bit-identical decisions and results.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def _draw_swap(rng: np.random.Generator, n: int, s: int):
 
 
 def _draw_swaps(rng: np.random.Generator, n: int, s: int, size: int):
-    """``size`` random (column, row1, row2) triples with distinct rows, as ints.
+    """``size`` random (column, row1, row2) triples with distinct rows, as three arrays.
 
     Row 2 is drawn from the n - 1 rows other than row 1, by shifting draws
     from 0..n-2 past row 1, so each distinct pair is equally likely.
@@ -113,7 +115,16 @@ def _draw_swaps(rng: np.random.Generator, n: int, s: int, size: int):
     rows1 = rng.integers(n, size=size)
     rows2 = rng.integers(n - 1, size=size)
     rows2 += rows2 >= rows1
-    return zip(cols.tolist(), rows1.tolist(), rows2.tolist())
+    return cols, rows1, rows2
+
+
+# Screened TA: after _SCREEN_AFTER straight rejects a stage scores its next K =
+# min(4 * rejects, _SCREEN_MAX_BLOCK, _SCREEN_ELEMENTS // 2n) swaps in one pass (K x 2 x n
+# arrays, <= 16 KB) and skips those more than _SCREEN_MARGIN * term_scale above the
+# threshold, thousands of times the screen's worst error (1.5e-16 * term_scale).  Blocks
+# under _SCREEN_MIN_BLOCK (n > 64) do not repay the screen's per-call cost and are not used.
+_SCREEN_AFTER, _SCREEN_MIN_BLOCK, _SCREEN_MAX_BLOCK = 4, 16, 256
+_SCREEN_ELEMENTS, _SCREEN_MARGIN = 2048, 1e-12
 
 
 def ta_neighbor(design: UTypeDesign, rng: np.random.Generator) -> UTypeDesign:
@@ -236,7 +247,11 @@ def ta_optimize(config: TaConfig, schedule=None) -> TaResult:
     Tracks and returns the best design ever visited; ``TaResult.cd2`` is its
     from-scratch CD2.  The trace records the initial value and the CD2 after
     every accepted move.  Each swap is scored and committed in O(n) by the
-    cache, which re-sums its kernel at the end of every stage.
+    cache, which re-sums its kernel at the end of every stage.  Swaps are
+    screened in blocks (see ``_SCREEN_AFTER``); only those within 1e-12 *
+    ``term_scale`` of passing get the exact preview, which decides and commits,
+    so designs, ``cd2`` and trace are those of previewing every swap.  The
+    cache is released before the final CD2 builds a kernel of its own.
     Bit-reproducible for a fixed config.  ``schedule`` overrides the
     data-driven threshold sequence (used for forcing pure local search in
     tests).
@@ -260,18 +275,34 @@ def ta_optimize(config: TaConfig, schedule=None) -> TaResult:
     if config.n < 2:
         return TaResult(UTypeDesign(best_levels, config.q), best_cd2, trace)
 
-    iteration = 0
-    for threshold in schedule:
-        for col, r1, r2 in _draw_swaps(rng, config.n, config.s, config.iterations_per_stage):
-            iteration += 1
-            candidate = cache.preview_column_swap(r1, r2, col)
-            if candidate - cache.cd2 <= threshold:
-                cache.apply_column_swap(r1, r2, col)
-                levels[r1, col], levels[r2, col] = levels[r2, col], levels[r1, col]
-                trace.append(iteration, cache.cd2)
-                if cache.cd2 < best_cd2:
-                    best_cd2 = cache.cd2
-                    best_levels = levels.copy()
+    max_block = min(_SCREEN_MAX_BLOCK, _SCREEN_ELEMENTS // (2 * config.n))
+    for stage, threshold in enumerate(schedule):
+        cols, rows1, rows2 = _draw_swaps(rng, config.n, config.s, config.iterations_per_stage)
+        t = rejects = 0  # swaps of this stage taken, and those since the design last changed
+        while t < len(cols):
+            if rejects < _SCREEN_AFTER or max_block < _SCREEN_MIN_BLOCK:
+                end, passing = t + 1, (t,)
+            else:
+                end = min(len(cols), t + min(4 * rejects, max_block))
+                excess = cache._swap_deltas(rows1[t:end], rows2[t:end], cols[t:end]) - threshold
+                passing = (t + np.flatnonzero(excess <= _SCREEN_MARGIN * cache.term_scale)).tolist()
+            for i in passing:
+                col, r1, r2 = cols.item(i), rows1.item(i), rows2.item(i)
+                candidate = cache.preview_column_swap(r1, r2, col)
+                if candidate - cache.cd2 <= threshold:
+                    cache.apply_column_swap(r1, r2, col)
+                    levels[r1, col], levels[r2, col] = levels[r2, col], levels[r1, col]
+                    trace.append(stage * len(cols) + i + 1, cache.cd2)
+                    if cache.cd2 < best_cd2:
+                        best_cd2 = cache.cd2
+                        best_levels = levels.copy()
+                    if levels[r1, col] != levels[r2, col]:  # u != v: the rest of the block is stale
+                        t, rejects = i + 1, 0
+                        break
+            else:
+                t, rejects = end, rejects + end - t
         cache.resum()
+        del cols, rows1, rows2  # before the next stage draws its own
+    del cache
     best = UTypeDesign(best_levels, config.q)
     return TaResult(best, cd2(embed(best)), trace)

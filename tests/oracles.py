@@ -9,7 +9,11 @@ scoring must reproduce them bit for bit.  ``kernel_reference`` builds the
 pairwise kernel as whole n x n products, and the reference CD2, gradient
 matrix and zero-gradient solve build their own kernels, so the cache's
 row-blocked kernel, ``cd2``, ``cd2_gradient`` and ``zero_gradient_solve``
-must reproduce them bit for bit too.  The reference Kriging fit solves
+must reproduce them bit for bit too.  ``preview_steps_reference`` builds
+whole n x n temporaries per column and direction, and
+``ta_optimize_reference`` previews every drawn swap exactly, so the
+row-blocked ``preview_steps`` and the screened ``ta_optimize`` must
+reproduce them bit for bit.  The reference Kriging fit solves
 every likelihood through scipy.linalg's checked wrappers and keeps no memo,
 so ``kriging_fit``'s direct LAPACK calls must reproduce it bit for bit.
 """
@@ -18,8 +22,10 @@ import numpy as np
 from scipy.linalg import cholesky, qr, solve_triangular
 from scipy.optimize import minimize
 
-from unidesign import DiscrepancyCache, KrigingModel, RefinerConfig, basis_matrix, cd2
+from unidesign import (DiscrepancyCache, KrigingModel, OptimizationTrace, RefinerConfig, TaResult,
+                       UTypeDesign, basis_matrix, cd2, embed, random_utype)
 from unidesign.discrepancy import _f1, _f2, as_design_matrix
+from unidesign.lattice import _draw_swap, _draw_swaps
 from unidesign.surrogate import DEFAULT_NUGGET, DEFAULT_THETA_BOUNDS
 
 
@@ -120,6 +126,32 @@ def cd2_gradient_reference(design) -> np.ndarray:
         pair = np.einsum("ik,ik->i", loo, w) - p2[:, j] * 0.5 * sc[:, j]
         grad[:, j] += (2.0 / n**2) * pair
     return grad
+
+
+def preview_steps_reference(cache, steps):
+    """``DiscrepancyCache.preview_steps`` from whole n x n temporaries, column by column."""
+    steps = np.asarray(steps, dtype=float)
+    x, a, kernel, rp = cache._x, cache._a, cache._kernel, cache._rp
+    targets = np.empty((cache.n, cache.s, 2))
+    values = np.empty((cache.n, cache.s, 2))
+    row_sums = kernel.sum(axis=1)
+    diagonal = kernel.diagonal()
+    for j in range(cache.s):
+        u, au = x[:, j], a[:, j]
+        loo, p1 = kernel / _f2(u[:, None], au[:, None], u, au), rp / _f1(au)
+        for d, direction in enumerate((1.0, -1.0)):
+            v = np.clip(u + direction * steps[j], 0.0, 1.0)
+            av = np.abs(v - 0.5)
+            f2_new = _f2(v[:, None], av[:, None], u, au)
+            g2_new = 1.0 + av
+            np.fill_diagonal(f2_new, g2_new)
+            new_sums = np.einsum("ik,ik->i", loo, f2_new)
+            d_kernel = 2.0 * (new_sums - row_sums) - (loo.diagonal() * g2_new - diagonal)
+            d_rp = p1 * _f1(av) - rp
+            value = cache._combine(cache._sum_rp + d_rp, cache._sum_kernel + d_kernel)
+            targets[:, j, d] = v
+            values[:, j, d] = np.where(v == u, np.inf, value)
+    return targets, values
 
 
 def zero_gradient_solve_reference(design, i: int, j: int, t_max: int = 1) -> float:
@@ -307,3 +339,66 @@ def kriging_fit_reference(design, y, basis="poly0", theta_bounds=DEFAULT_THETA_B
         sigma2=sigma2, chol=chol_l, gamma=solve_triangular(chol_l.T, rho, lower=False),
         nugget=nugget, log_likelihood=-0.5 * nll,
     )
+
+
+def threshold_schedule_reference(cache, alpha, stages, probes, rng):
+    """The threshold schedule from one exact ``preview_column_swap`` per probe."""
+    lo = np.inf
+    hi = -np.inf
+    for _ in range(probes):
+        if cache.n < 2:
+            val = cache.cd2
+        else:
+            col, r1, r2 = _draw_swap(rng, cache.n, cache.s)
+            val = cache.preview_column_swap(r1, r2, col)
+        lo = min(lo, val)
+        hi = max(hi, val)
+    values = np.empty(stages + 1)
+    values[0] = alpha * (hi - lo)
+    for i in range(1, stages + 1):
+        values[i] = (stages - i) / stages * values[i - 1]
+    return values
+
+
+def ta_optimize_reference(config, schedule=None):
+    """Threshold accepting with one exact ``preview_column_swap`` per drawn swap.
+
+    The same draws, schedule, accept test and commits as ``ta_optimize``, with
+    no screening, so ``ta_optimize`` must reproduce its design, ``cd2`` and
+    trace steps and values bit for bit.
+    """
+    rng = np.random.default_rng(config.seed)
+    if config.initial is not None:
+        current = config.initial
+    else:
+        current = random_utype(config.n, config.q, config.s, rng)
+    cache = DiscrepancyCache(embed(current))
+    if schedule is None:
+        schedule = threshold_schedule_reference(cache, config.alpha, config.stages, config.probes, rng)
+    schedule = np.asarray(schedule, dtype=float).tolist()
+
+    levels = current.levels.copy()
+    best_levels = levels.copy()
+    best_cd2 = cache.cd2
+    trace = OptimizationTrace()
+    trace.append(0, cache.cd2)
+
+    if config.n < 2:
+        return TaResult(UTypeDesign(best_levels, config.q), best_cd2, trace)
+
+    iteration = 0
+    for threshold in schedule:
+        draws = _draw_swaps(rng, config.n, config.s, config.iterations_per_stage)
+        for col, r1, r2 in zip(*(d.tolist() for d in draws)):
+            iteration += 1
+            candidate = cache.preview_column_swap(r1, r2, col)
+            if candidate - cache.cd2 <= threshold:
+                cache.apply_column_swap(r1, r2, col)
+                levels[r1, col], levels[r2, col] = levels[r2, col], levels[r1, col]
+                trace.append(iteration, cache.cd2)
+                if cache.cd2 < best_cd2:
+                    best_cd2 = cache.cd2
+                    best_levels = levels.copy()
+        cache.resum()
+    best = UTypeDesign(best_levels, config.q)
+    return TaResult(best, cd2(embed(best)), trace)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unidesign import cd2, cd2_gradient, cli, discrepancy
+from unidesign import TaConfig, cd2, cd2_gradient, cli, discrepancy, embed
 from unidesign.cli import main, read_design_csv, write_matrix_csv
 from conftest import FIXTURES, UD18X7_CD2
+from oracles import ta_optimize_reference
 
 
 def run(capsys, *argv):
@@ -128,6 +129,23 @@ class TestSample:
 
 
 class TestConstruct:
+    @pytest.mark.parametrize("n, q, s", [(18, 18, 7), (12, 3, 4)])
+    def test_ta_writes_the_unscreened_run(self, capsys, tmp_path, n, q, s):
+        # the design CSV, stdout and trace steps and values of one exact
+        # preview per swap, byte for byte
+        out, trace = tmp_path / "d.csv", tmp_path / "t.csv"
+        code, stdout, _ = run(
+            capsys, "construct", "--algo", "ta", "--n", str(n), "--q", str(q), "--s", str(s),
+            "--seed", "11", "--out", str(out), "--trace", str(trace),
+        )
+        assert code == 0
+        expected = ta_optimize_reference(TaConfig(n=n, q=q, s=s, seed=11))
+        write_matrix_csv(str(tmp_path / "expected.csv"), embed(expected.design))
+        assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        assert stdout == f"{expected.cd2:.10g}\n"
+        rows = [line.split(",")[:2] for line in trace.read_text().splitlines()]
+        assert rows == [[str(r.step), f"{r.cd2:.17g}"] for r in expected.trace.records]
+
     def test_default_pipeline_reaches_documented_band(self, capsys, tmp_path):
         # the README front-page example at default budgets
         code, stdout, _ = run(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
-from unidesign import DiscrepancyCache, cd2, cd2_gradient, zero_gradient_solve
+from unidesign import DiscrepancyCache, cd2, cd2_gradient, lattice, zero_gradient_solve
 from unidesign.discrepancy import _BLOCK
 from conftest import UD18X7_CD2, UD27X13_CD2
 from oracles import (
@@ -17,6 +17,7 @@ from oracles import (
     gradient_relative_error,
     kernel_reference,
     off_kink_design,
+    preview_steps_reference,
     zero_gradient_solve_reference,
 )
 
@@ -425,6 +426,29 @@ class TestPreviewSteps:
                         exact = cache.preview_update(i, j, v)
                         assert abs(values[i, j, d] - exact) <= 1e-14 * cache.term_scale
 
+    @pytest.mark.parametrize("kind", ["random", "lattice", "kinks"])
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_row_blocks_match_whole_matrix_reference_bit_for_bit(self, kind, n):
+        rng = np.random.default_rng(n)
+        cache = DiscrepancyCache(_kind_design(kind, n, 3, rng))
+        steps = rng.uniform(0.01, 0.3, 3)
+        targets, values = cache.preview_steps(steps)
+        expected_targets, expected_values = preview_steps_reference(cache, steps)
+        assert targets.tobytes() == expected_targets.tobytes()
+        assert values.tobytes() == expected_values.tobytes()
+
+    def test_peak_memory_is_about_one_kernel(self):
+        # the cache's kernel is 8 n^2 bytes; whole-matrix leave-one-out and
+        # f2 temporaries would add at least two more n x n arrays
+        n = 1000
+        tracemalloc.start()
+        try:
+            DiscrepancyCache(random_design(n, 3, seed=4)).preview_steps([0.01, 0.02, 0.03])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n * n
+
     @pytest.mark.parametrize("steps", [[0.1] * 5, [0.1] * 2, [0.1, 0.0, 0.1], [0.1, -0.1, 0.1],
                                        [0.1, float("nan"), 0.1], [0.1, float("inf"), 0.1]])
     def test_rejects_bad_steps(self, steps):
@@ -437,6 +461,35 @@ class TestPreviewSteps:
         # x = 0 cannot move down, x = 1 cannot move up
         assert values[0, 0, 1] == values[0, 1, 0] == values[1, 0, 0] == np.inf
         assert np.isfinite(values[[0, 0, 1, 1, 1], [0, 1, 0, 1, 1], [0, 1, 1, 0, 1]]).all()
+
+
+class TestSwapDeltas:
+    """The screen of threshold accepting agrees with the exact swap preview to round-off."""
+
+    @pytest.mark.parametrize("kind", ["random", "lattice", "kinks"])
+    @pytest.mark.parametrize("n, s", [(18, 7), (27, 13), (12, 4), (200, 6), (2000, 5)])
+    def test_matches_preview_after_commits(self, kind, n, s):
+        # the commits leave round-off in the cached arrays and sums, as a
+        # long TA stage does; 1e-14 of term_scale is ~60 times the worst
+        # error measured (1.5e-16) and 100 times inside TA's margin
+        rng = np.random.default_rng(n + s)
+        cache = DiscrepancyCache(_kind_design(kind, n, s, rng))
+        for _ in range(1000):
+            r1, r2 = rng.choice(n, 2, replace=False)
+            cache.apply_column_swap(int(r1), int(r2), int(rng.integers(s)))
+        cap = max(1, min(lattice._SCREEN_MAX_BLOCK, lattice._SCREEN_ELEMENTS // (2 * n)))
+        for k in sorted({1, 16, cap}):
+            cols, rows1, rows2 = lattice._draw_swaps(rng, n, s, k)
+            before = _state(cache)
+            deltas = cache._swap_deltas(rows1, rows2, cols)
+            assert _state(cache) == before
+            exact = [cache.preview_column_swap(r1, r2, c) - cache.cd2
+                     for c, r1, r2 in zip(cols.tolist(), rows1.tolist(), rows2.tolist())]
+            assert deltas.shape == (k,)
+            assert np.max(np.abs(deltas - exact)) <= 1e-14 * cache.term_scale
+            # u == v swaps change nothing, and the screen reads exactly 0
+            equal = cache.design[rows1, cols] == cache.design[rows2, cols]
+            assert np.all(deltas[equal] == 0.0)
 
 
 class TestZeroGradientSolve:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import qmc
@@ -14,6 +16,7 @@ from unidesign import (
     ta_optimize,
     threshold_sequence,
 )
+from oracles import ta_optimize_reference, threshold_schedule_reference
 
 
 def column_multisets(design: UTypeDesign):
@@ -214,9 +217,8 @@ def test_preview_swap_used_by_ta_matches_full_recompute():
 class TestDrawSwaps:
     def test_distinct_uniform_pairs_and_every_column(self):
         # the 20 ordered pairs of distinct rows each appear ~1000 times
-        draws = list(lattice._draw_swaps(np.random.default_rng(40), 5, 3, 20_000))
-        assert all(type(v) is int for v in draws[0])
-        cols, rows1, rows2 = np.array(draws).T
+        cols, rows1, rows2 = lattice._draw_swaps(np.random.default_rng(40), 5, 3, 20_000)
+        assert all(v.shape == (20_000,) and v.dtype.kind == "i" for v in (cols, rows1, rows2))
         assert set(cols.tolist()) == {0, 1, 2}
         assert min(rows1.min(), rows2.min()) >= 0
         counts = np.zeros((5, 5), dtype=int)
@@ -225,8 +227,8 @@ class TestDrawSwaps:
         assert np.all(np.abs(counts[~np.eye(5, dtype=bool)] - 1000) < 150)
 
     def test_two_rows(self):
-        draws = list(lattice._draw_swaps(np.random.default_rng(42), 2, 4, 100))
-        assert all({r1, r2} == {0, 1} for _, r1, r2 in draws)
+        _, rows1, rows2 = lattice._draw_swaps(np.random.default_rng(42), 2, 4, 100)
+        assert all({r1, r2} == {0, 1} for r1, r2 in zip(rows1.tolist(), rows2.tolist()))
 
 
 def test_long_ta_run_cache_stays_exact(monkeypatch):
@@ -252,3 +254,116 @@ def test_long_ta_run_cache_stays_exact(monkeypatch):
     value = cache.cd2
     assert cache.resum() == value
     assert result.cd2 == cd2(embed(result.design))
+
+
+def assert_same_run(config, schedule=None):
+    """``ta_optimize`` gives the design, cd2 and trace steps and values of the unscreened loop."""
+    result = ta_optimize(config, schedule)
+    expected = ta_optimize_reference(config, schedule)
+    assert result.design.levels.tobytes() == expected.design.levels.tobytes()
+    assert np.float64(result.cd2).tobytes() == np.float64(expected.cd2).tobytes()
+    assert [r[:2] for r in result.trace.records] == [r[:2] for r in expected.trace.records]
+    return result
+
+
+class TestScreenedTa:
+    """Screening swaps a block at a time leaves every decision of the exact loop."""
+
+    @pytest.mark.parametrize("n, s, seed", [(18, 7, 123), (27, 13, 0)])
+    def test_paper_sizes_at_the_default_budget(self, n, s, seed):
+        result = assert_same_run(TaConfig(n=n, q=n, s=s, seed=seed))
+        # the late stages reject nearly every swap, which is where screening runs
+        assert len(result.trace.records) < 0.5 * 21 * 2000
+
+    def test_noop_swaps_are_accepted(self):
+        # with q = 3 a quarter of the swaps exchange equal levels: u == v
+        # changes nothing, and its zero change passes every threshold >= 0
+        assert_same_run(TaConfig(n=12, q=3, s=4, seed=5))
+        assert_same_run(TaConfig(n=12, q=3, s=4, seed=6, stages=3), schedule=np.zeros(4))
+
+    @pytest.mark.parametrize("n, q, s", [(2, 2, 3), (2, 1, 2), (1, 1, 3), (10, 10, 1), (6, 2, 1)])
+    def test_degenerate_shapes(self, n, q, s):
+        assert_same_run(TaConfig(n=n, q=q, s=s, seed=3, stages=3, iterations_per_stage=300))
+
+    @pytest.mark.parametrize("schedule", [
+        np.zeros(6),  # pure descent: the screen runs from the first stage on
+        np.full(3, 1e9),  # every swap passes, so every block is cut at its first swap
+        np.full(3, -1e-3),  # nothing passes, not even u == v
+        np.full(3, -1e-18),  # u == v is rejected, but inside the screen's margin
+        [1e-4, 0.0, -1e-4, np.inf, 0.0],
+    ])
+    def test_schedule_overrides(self, schedule):
+        for q in (12, 3):
+            assert_same_run(TaConfig(n=12, q=q, s=4, seed=8, iterations_per_stage=1500), schedule)
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_either_side_of_the_shortest_block(self, n, monkeypatch):
+        # at n = 64 the scratch cap still allows 16-swap blocks; at n = 65 TA
+        # previews every swap
+        screened = []
+        deltas = DiscrepancyCache._swap_deltas
+        monkeypatch.setattr(DiscrepancyCache, "_swap_deltas",
+                            lambda cache, *swaps: screened.append(1) or deltas(cache, *swaps))
+        assert_same_run(TaConfig(n=n, q=n, s=3, seed=4, stages=6, iterations_per_stage=1000))
+        assert bool(screened) == (n == 64)
+
+    def test_large_design_short_schedule(self):
+        # the scratch cap would cut blocks to 2048 // (2 * 500) = 2 swaps, too
+        # short to pay, so every swap gets the exact preview
+        assert_same_run(TaConfig(n=500, q=500, s=10, seed=2, iterations_per_stage=300),
+                        schedule=[1e-6, 0.0])
+
+    @pytest.mark.parametrize("n, q, s", [(18, 18, 7), (27, 27, 13), (12, 3, 4)])
+    def test_threshold_probes_are_exact_previews(self, n, q, s):
+        design = random_utype(n, q, s, seed=n)
+        schedule = threshold_sequence(design, 0.1, 20, 100, np.random.default_rng(1))
+        expected = threshold_schedule_reference(DiscrepancyCache(embed(design)), 0.1, 20, 100,
+                                                np.random.default_rng(1))
+        assert schedule.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("error", [0.9, -0.9])
+    def test_screen_error_inside_the_margin_changes_nothing(self, monkeypatch, error):
+        # a screen off by 0.9 of the margin still skips no swap that passes;
+        # threshold 0 and u == v swaps put exact changes right on the bound
+        deltas = DiscrepancyCache._swap_deltas
+
+        def off(cache, rows1, rows2, cols):
+            shift = error * lattice._SCREEN_MARGIN * cache.term_scale
+            return deltas(cache, rows1, rows2, cols) + shift
+
+        monkeypatch.setattr(DiscrepancyCache, "_swap_deltas", off)
+        assert_same_run(TaConfig(n=12, q=3, s=4, seed=9, stages=3), schedule=np.zeros(4))
+        assert_same_run(TaConfig(n=18, q=18, s=7, seed=9, stages=6))
+
+    def test_screened_blocks_replace_most_previews(self, monkeypatch):
+        calls = {"preview": 0, "screened": 0}
+        preview, deltas = DiscrepancyCache.preview_column_swap, DiscrepancyCache._swap_deltas
+
+        def counted_preview(cache, *args):
+            calls["preview"] += 1
+            return preview(cache, *args)
+
+        def counted_deltas(cache, rows1, rows2, cols):
+            calls["screened"] += len(cols)
+            return deltas(cache, rows1, rows2, cols)
+
+        monkeypatch.setattr(DiscrepancyCache, "preview_column_swap", counted_preview)
+        monkeypatch.setattr(DiscrepancyCache, "_swap_deltas", counted_deltas)
+        config = TaConfig(n=18, q=18, s=7, seed=123)
+        ta_optimize(config)
+        # 100 threshold probes plus one preview per swap would be 42,100
+        assert calls["preview"] < 0.5 * 42_100
+        assert calls["screened"] > 0
+
+    def test_peak_memory_is_about_one_kernel(self):
+        # the run's cache is released before the final from-scratch CD2
+        # builds its kernel, so the two are never alive together
+        n = 1000
+        config = TaConfig(n=n, q=n, s=3, seed=4, stages=2, probes=10, iterations_per_stage=200)
+        tracemalloc.start()
+        try:
+            ta_optimize(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n * n
