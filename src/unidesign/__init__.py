@@ -8,90 +8,14 @@ resulting designs on benchmark models.
 
 __version__ = "0.1.0"
 
-from .discrepancy import (
-    DiscrepancyCache,
-    as_design_matrix,
-    cd2,
-    cd2_gradient,
-    zero_gradient_solve,
-)
-from .lattice import (
-    OptimizationTrace,
-    TaConfig,
-    TaResult,
-    UTypeDesign,
-    embed,
-    random_utype,
-    ta_neighbor,
-    ta_optimize,
-    threshold_sequence,
-)
-from .optimize import (
-    RefineResult,
-    RefinerConfig,
-    cdfss,
-    cgd,
-    czg,
-    gradient_descent,
-    refine_pipeline,
-)
-from .sampling import LatinHypercubeDesign, lhd, lhs, mlhs
-from .surrogate import (
-    KrigingModel,
-    average_mse_over_samples,
-    basis_matrix,
-    evaluate_mse,
-    kriging_fit,
-    kriging_predict,
-)
-from .benchfns import (
-    TestFunction,
-    camelback,
-    constant,
-    get_test_function,
-    scale_design,
-    scale_lattice,
-    wood,
-)
+from . import benchfns, discrepancy, lattice, optimize, sampling, surrogate
+from .benchfns import *  # noqa: F401,F403
+from .discrepancy import *  # noqa: F401,F403
+from .lattice import *  # noqa: F401,F403
+from .optimize import *  # noqa: F401,F403
+from .sampling import *  # noqa: F401,F403
+from .surrogate import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "as_design_matrix",
-    "cd2",
-    "cd2_gradient",
-    "DiscrepancyCache",
-    "zero_gradient_solve",
-    "UTypeDesign",
-    "random_utype",
-    "embed",
-    "ta_neighbor",
-    "threshold_sequence",
-    "TaConfig",
-    "TaResult",
-    "ta_optimize",
-    "RefinerConfig",
-    "RefineResult",
-    "OptimizationTrace",
-    "cgd",
-    "czg",
-    "cdfss",
-    "gradient_descent",
-    "refine_pipeline",
-    "LatinHypercubeDesign",
-    "lhd",
-    "lhs",
-    "mlhs",
-    "KrigingModel",
-    "basis_matrix",
-    "kriging_fit",
-    "kriging_predict",
-    "evaluate_mse",
-    "average_mse_over_samples",
-    "TestFunction",
-    "wood",
-    "camelback",
-    "constant",
-    "get_test_function",
-    "scale_design",
-    "scale_lattice",
-]
+# each public name is listed once, in its module's __all__
+_MODULES = (discrepancy, lattice, optimize, sampling, surrogate, benchfns)
+__all__ = list(dict.fromkeys(["__version__", *(n for m in _MODULES for n in m.__all__)]))

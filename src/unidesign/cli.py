@@ -7,15 +7,16 @@ the TA iteration or the refiner epoch and 0 is the starting design; every
 file-writing command also writes a JSON manifest recording the parsed
 arguments, for replay.
 
-Exit codes: 0 success, 2 usage error (including an output path that cannot
-be written), 3 input-data error, 4 numerical failure.
+Errors: commands raise, and ``main`` alone prints one ``error: ...`` line to
+stderr and maps the exception to the exit code: 0 success, 2 usage error
+(``ValueError``; ``OSError`` for an output path that cannot be written), 3
+input-data error (``DesignFileError``), 4 numerical failure (every bench cell failed).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -33,37 +34,26 @@ from .optimize import RefinerConfig
 from .sampling import lhd, lhs, mlhs
 from .surrogate import TrendBasis, evaluate_mse
 
-__all__ = ["main", "DesignFileError", "read_design_csv", "write_matrix_csv", "RunManifest"]
+__all__ = ["main", "DesignFileError", "read_design_csv", "write_matrix_csv"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_NUMERICAL = 4
 
-_ALGOS = ("ta", "ta+cgd", "ta+czg", "ta+cdfss", "cgd", "czg", "cdfss")
+_ALGOS = ("ta", *(f"ta+{r}" for r in optimize._REFINERS), *optimize._REFINERS)
+
+# sample --kind: (draw(args) -> matrix, integer cells); each draw looks its sampler up when called
+_SAMPLERS = {
+    "lhd": (lambda a: lhd(a.n, a.s, a.seed).perms, True),
+    "lhs": (lambda a: lhs(a.n, a.s, a.seed), False),
+    "mlhs": (lambda a: mlhs(a.n, a.s, a.seed), False),
+    "utype": (lambda a: random_utype(a.n, a.q, a.s, a.seed).levels, True),
+}
 
 
 class DesignFileError(Exception):
-    """Malformed design file (non-numeric or non-finite cell, ragged rows, out-of-range entry)."""
-
-
-@dataclasses.dataclass
-class RunManifest:
-    """Replayable record of a CLI invocation."""
-
-    command: str
-    argv: list
-    config: dict
-    version: str = __version__
-    wall_time_seconds: float = 0.0
-    result: dict = dataclasses.field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-    def write(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
+    """Bad design: non-numeric or non-finite cell, ragged rows, out-of-range entry, wrong width."""
 
 
 def read_design_csv(path: str, unit_range: bool = True) -> np.ndarray:
@@ -145,9 +135,15 @@ def _check_writable(*paths) -> None:
             os.remove(path)
 
 
-def _manifest_path(out: str) -> str:
-    base, _ = os.path.splitext(out)
-    return base + ".manifest.json"
+def _manifest(command: str, argv: list, config: dict, t0: float, result: dict) -> dict:
+    """Replayable record of a CLI invocation started at ``perf_counter()`` ``t0``."""
+    return {"command": command, "argv": argv, "config": config, "version": __version__,
+            "wall_time_seconds": time.perf_counter() - t0, "result": result}
+
+
+def _write_json(path: str, obj: dict) -> None:
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _manifest_config(args) -> dict:
@@ -204,10 +200,8 @@ def _cmd_construct(args, argv) -> int:
     refine = optimize._REFINERS.get(args.algo.rpartition("+")[2])
     for name in ("n", "q", "s") if from_ta else ("init",):
         if getattr(args, name) in (None, ""):
-            print(f"error: --algo {args.algo} requires --{name}", file=sys.stderr)
-            return EXIT_USAGE
-    _check_writable(args.out, args.trace, args.projections,
-                    args.manifest or _manifest_path(args.out))
+            raise ValueError(f"--algo {args.algo} requires --{name}")
+    _check_writable(args.out, args.trace, args.projections, args.manifest)
     if from_ta:
         ta_config = TaConfig(
             n=args.n, q=args.q, s=args.s, alpha=args.alpha, stages=args.stages,
@@ -236,18 +230,15 @@ def _cmd_construct(args, argv) -> int:
     if args.projections:
         _write_projections_csv(args.projections, design)
 
-    manifest = RunManifest(
-        command="construct", argv=argv, config=_manifest_config(args),
-        wall_time_seconds=time.perf_counter() - t0,
-        result={"cd2": final_cd2, "termination": termination,
-                "shape": list(design.shape)},
-    )
-    manifest.write(args.manifest or _manifest_path(args.out))
+    _write_json(args.manifest, _manifest(
+        "construct", argv, _manifest_config(args), t0,
+        {"cd2": final_cd2, "termination": termination, "shape": list(design.shape)},
+    ))
     print(f"{final_cd2:.10g}")
     return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args, argv) -> int:
     cache = DiscrepancyCache(read_design_csv(args.design))
     print(f"{cache.cd2:.10g}")
     if args.gradient:
@@ -259,66 +250,44 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sample(args, argv) -> int:
     t0 = time.perf_counter()
     if args.kind == "utype" and args.q is None:
-        print("error: --kind utype requires --q", file=sys.stderr)
-        return EXIT_USAGE
-    _check_writable(args.out, args.manifest or _manifest_path(args.out))
-    if args.kind == "utype":
-        matrix = random_utype(args.n, args.q, args.s, args.seed).levels
-        integer = True
-    elif args.kind == "lhd":
-        matrix = lhd(args.n, args.s, args.seed).perms
-        integer = True
-    elif args.kind == "lhs":
-        matrix = lhs(args.n, args.s, args.seed)
-        integer = False
-    else:
-        matrix = mlhs(args.n, args.s, args.seed)
-        integer = False
+        raise ValueError("--kind utype requires --q")
+    _check_writable(args.out, args.manifest)
+    draw, integer = _SAMPLERS[args.kind]
+    matrix = draw(args)
     write_matrix_csv(args.out, matrix, integer=integer)
-    manifest = RunManifest(
-        command="sample", argv=argv, config=_manifest_config(args),
-        wall_time_seconds=time.perf_counter() - t0,
-        result={"shape": list(matrix.shape)},
-    )
-    manifest.write(args.manifest or _manifest_path(args.out))
+    _write_json(args.manifest, _manifest(
+        "sample", argv, _manifest_config(args), t0, {"shape": list(matrix.shape)}
+    ))
     return EXIT_OK
 
 
 def _cmd_bench(args, argv) -> int:
     t0 = time.perf_counter()
     if bool(args.design) == bool(args.sampler):
-        print("error: exactly one of --design or --sampler is required", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("exactly one of --design or --sampler is required")
     for flag, value in (("--reps", args.reps), ("--test-points", args.test_points)):
         if value < 1:
-            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     bases = [b.strip() for b in args.basis.split(",") if b.strip()]
     known = get_args(TrendBasis)
     if not bases or not set(bases) <= set(known):
-        print(f"error: --basis must be a comma list of {', '.join(known)}, got {args.basis!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--basis must be a comma list of {', '.join(known)}, got {args.basis!r}")
     _check_writable(args.out)
 
-    designs: list[np.ndarray] = []
     if args.design:
-        designs.append(read_design_csv(args.design))
+        designs = [read_design_csv(args.design)]
         source = {"design": args.design}
     else:
         if args.n is None or args.s is None:
-            print("error: --sampler requires --n and --s", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--sampler requires --n and --s")
         draw = lhs if args.sampler == "lhs" else mlhs
-        for k in range(args.reps):
-            designs.append(draw(args.n, args.s, args.seed + k))
+        designs = [draw(args.n, args.s, args.seed + k) for k in range(args.reps)]
         source = {"sampler": args.sampler, "reps": args.reps, "n": args.n, "s": args.s}
 
     s = designs[0].shape[1]
     fn = get_test_function(args.fn, dim=s)
     if fn.dim != s:
-        print(f"error: {args.fn} expects {fn.dim} factors, design has {s}", file=sys.stderr)
-        return EXIT_INPUT
+        raise DesignFileError(f"{args.fn} expects {fn.dim} factors, design has {s}")
 
     rng = np.random.default_rng(args.seed)
     test_unit = rng.random((args.test_points, s))
@@ -345,23 +314,20 @@ def _cmd_bench(args, argv) -> int:
             entry["rmse"] = float(np.mean([r["rmse"] for r in ok]))
         report_bases[basis] = entry
 
-    manifest = RunManifest(
-        command="bench", argv=argv,
-        config={"fn": args.fn, "bases": bases, "test_points": args.test_points,
-                "seed": args.seed, **source},
-        wall_time_seconds=time.perf_counter() - t0,
-        result={b: {k: v for k, v in e.items() if k != "cells"} for b, e in report_bases.items()},
+    manifest = _manifest(
+        "bench", argv,
+        {"fn": args.fn, "bases": bases, "test_points": args.test_points,
+         "seed": args.seed, **source},
+        t0,
+        {b: {k: v for k, v in e.items() if k != "cells"} for b, e in report_bases.items()},
     )
-    report = {
+    _write_json(args.out, {
         "function": args.fn,
         "source": source,
         "bases": report_bases,
         "test_std": float(np.std(y_test)),
-        "manifest": dataclasses.asdict(manifest),
-    }
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        "manifest": manifest,
+    })
     return EXIT_OK if any_ok else EXIT_NUMERICAL
 
 
@@ -380,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gradient", action="store_true", help="also print the gradient matrix")
 
     p = sub.add_parser("sample", help="generate lhd/lhs/mlhs/utype samples")
-    p.add_argument("--kind", choices=("lhd", "lhs", "mlhs", "utype"), required=True)
+    p.add_argument("--kind", choices=tuple(_SAMPLERS), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--q", type=int)
@@ -402,27 +368,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {"construct": _cmd_construct, "evaluate": _cmd_evaluate,
+             "sample": _cmd_sample, "bench": _cmd_bench}
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if "manifest" in vars(args) and not args.manifest:  # construct and sample
+        args.manifest = os.path.splitext(args.out)[0] + ".manifest.json"
     try:
-        if args.command == "construct":
-            return _cmd_construct(args, argv)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
-        if args.command == "sample":
-            return _cmd_sample(args, argv)
-        return _cmd_bench(args, argv)
-    except DesignFileError as exc:
+        return _COMMANDS[args.command](args, argv)
+    except (DesignFileError, ValueError, OSError) as exc:  # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, OSError) as exc:  # OSError: an output path cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except np.linalg.LinAlgError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_INPUT if isinstance(exc, DesignFileError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -151,7 +151,9 @@ def kriging_fit(
     worse than any start.  Fully deterministic.  Passing ``theta`` skips the
     search and fits the generalized least squares model at those scales.
 
-    Raises ``ValueError`` for NaN or inf in ``y``, duplicate training rows
+    Raises ``ValueError`` before any solve: for NaN or inf in ``y``, a
+    non-finite or non-positive ``theta``, ``theta_bounds`` not finite with
+    0 < low < high, a ``nugget`` not finite and >= 0, duplicate training rows
     (singular correlation) or n <= trend size (underdetermined GLS).
     """
     x = as_design_matrix(design)
@@ -162,8 +164,14 @@ def kriging_fit(
     bad = np.count_nonzero(~np.isfinite(y))
     if bad:
         raise ValueError(f"y has {bad} non-finite value(s)")
-    if theta_bounds[0] <= 0 or theta_bounds[0] >= theta_bounds[1]:
-        raise ValueError("theta_bounds must be positive with low < high")
+    if not 0 < theta_bounds[0] < theta_bounds[1] < np.inf:  # NaN fails every comparison
+        raise ValueError("theta_bounds must be finite and positive with low < high")
+    if not 0 <= nugget < np.inf:
+        raise ValueError(f"nugget must be finite and >= 0, got {nugget}")
+    if theta is not None:
+        theta = np.asarray(theta, dtype=float).reshape(-1)
+        if theta.shape != (s,) or not np.all((theta > 0) & (theta < np.inf)):
+            raise ValueError(f"theta must be {s} finite positive scales")
     if len(np.unique(x, axis=0)) != n:
         raise ValueError("duplicate training rows make the correlation matrix singular")
     f = basis_matrix(x, basis)
@@ -186,11 +194,7 @@ def kriging_fit(
                 solved[key] = np.inf
         return solved[key]
 
-    if theta is not None:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        if theta.shape != (s,) or np.any(theta <= 0):
-            raise ValueError(f"theta must be {s} positive scales")
-    else:
+    if theta is None:
         best_log_theta = None
         best_nll = np.inf
         for t0 in np.geomspace(theta_bounds[0], theta_bounds[1], _MULTISTARTS):

@@ -411,6 +411,53 @@ def test_unwritable_output_exit_2(capsys, tmp_path, argv, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+_MANIFEST_KEYS = {"argv", "command", "config", "result", "version", "wall_time_seconds"}
+
+
+@pytest.mark.parametrize("argv", [_TINY_TA, _TINY_SAMPLE], ids=["construct", "sample"])
+def test_manifest_layout(capsys, tmp_path, argv):
+    argv = [*argv, "--out", str(tmp_path / "o.csv")]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    manifest = json.loads((tmp_path / "o.manifest.json").read_text())
+    assert set(manifest) == _MANIFEST_KEYS
+    assert manifest["argv"] == argv
+    parsed = vars(cli.build_parser().parse_args(argv))
+    assert manifest["config"] == {k: v for k, v in parsed.items()
+                                  if k not in ("command", "manifest")}
+
+
+def test_bench_report_manifest_layout(capsys, tmp_path):
+    out = tmp_path / "r.json"
+    code, _, _ = run(capsys, *_TINY_BENCH, "--out", str(out))
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert set(report) == {"bases", "function", "manifest", "source", "test_std"}
+    assert set(report["manifest"]) == _MANIFEST_KEYS
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["construct", "--algo", "ta+cgd", "--n", "4", "--q", "4"], 2, "--algo ta+cgd requires --s"),
+    (["construct", "--algo", "czg"], 2, "--algo czg requires --init"),
+    (["sample", "--kind", "utype", "--n", "4", "--s", "2"], 2, "--kind utype requires --q"),
+    (["bench", "--fn", "wood"], 2, "exactly one of --design or --sampler is required"),
+    ([*_TINY_BENCH, "--reps", "0"], 2, "--reps must be >= 1, got 0"),
+    (["bench", "--fn", "const", "--design", "{design}", "--basis", "poly3"], 2,
+     "--basis must be a comma list of poly0, poly1, poly2, got 'poly3'"),
+    (["bench", "--fn", "const", "--sampler", "lhs", "--n", "6"], 2,
+     "--sampler requires --n and --s"),
+    (["bench", "--fn", "wood", "--design", "{design}"], 3, "wood expects 4 factors, design has 3"),
+], ids=["construct-shape", "construct-init", "sample-utype", "bench-source", "bench-reps",
+        "bench-basis", "bench-sampler-shape", "bench-dimension"])
+def test_error_paths_print_one_line(capsys, tmp_path, argv, code, message):
+    design = tmp_path / "d.csv"
+    write_matrix_csv(str(design), np.random.default_rng(4).random((6, 3)))
+    argv = [a.format(design=design) for a in argv]
+    got, out, err = run(capsys, *argv, "--out", str(tmp_path / "o.out"))
+    assert (got, out, err) == (code, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == [design]
+
+
 def test_bench_unwritable_out_runs_no_fit(capsys, tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a Kriging fit ran before the output path was checked")

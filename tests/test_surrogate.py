@@ -86,6 +86,27 @@ class TestKrigingFit:
         with pytest.raises(ValueError):
             kriging_fit(x, y, "poly0", theta_bounds=(0.0, 10.0))
 
+    @pytest.mark.parametrize("kwargs, match", [
+        pytest.param({"theta": [np.nan, 1.0, 1.0]}, "theta must be", id="theta-nan"),
+        pytest.param({"theta": [np.inf, 1.0, 1.0]}, "theta must be", id="theta-inf"),
+        pytest.param({"theta": [0.0, 1.0, 1.0]}, "theta must be", id="theta-zero"),
+        pytest.param({"theta_bounds": (np.nan, 1.0)}, "theta_bounds", id="bounds-low-nan"),
+        pytest.param({"theta_bounds": (1e-2, np.nan)}, "theta_bounds", id="bounds-high-nan"),
+        pytest.param({"theta_bounds": (1e-2, np.inf)}, "theta_bounds", id="bounds-high-inf"),
+        pytest.param({"theta_bounds": (1.0, 1.0)}, "theta_bounds", id="bounds-empty"),
+        pytest.param({"nugget": np.nan}, "nugget", id="nugget-nan"),
+        pytest.param({"nugget": np.inf}, "nugget", id="nugget-inf"),
+        pytest.param({"nugget": -1.0}, "nugget", id="nugget-negative"),
+    ])
+    def test_bad_settings_rejected_before_any_solve(self, monkeypatch, kwargs, match):
+        def fail(*args):
+            raise AssertionError("solved before the settings were checked")
+
+        monkeypatch.setattr(surrogate, "_profiled_fit", fail)
+        x, y = training_set()
+        with pytest.raises(ValueError, match=match):
+            kriging_fit(x, y, "poly0", **kwargs)
+
     def test_likelihood_not_worse_than_any_start(self):
         x, y = training_set(seed=9)
         model = kriging_fit(x, y, "poly0")
