@@ -169,7 +169,7 @@ def _add_construct_parser(sub) -> None:
     p.add_argument("--probes", type=int, default=100)
     p.add_argument("--iters-per-stage", type=int, default=2000)
     # refiner knobs
-    p.add_argument("--delta", type=float, default=0.01, help="CGD/GD step size")
+    p.add_argument("--delta", type=float, default=0.01, help="CGD step size")
     p.add_argument("--epsilon", type=float, default=1e-9)
     p.add_argument("--max-epochs", type=int, default=1000)
     p.add_argument("--t-max", type=int, default=1)
@@ -287,6 +287,8 @@ def _cmd_bench(args, argv) -> int:
     s = designs[0].shape[1]
     fn = get_test_function(args.fn, dim=s)
     if fn.dim != s:
+        if args.sampler:  # a usage error: no file was read
+            raise ValueError(f"{args.fn} expects {fn.dim} factors, got --s {s}")
         raise DesignFileError(f"{args.fn} expects {fn.dim} factors, design has {s}")
 
     rng = np.random.default_rng(args.seed)

@@ -38,7 +38,6 @@ __all__ = [
     "cd2",
     "cd2_gradient",
     "DiscrepancyCache",
-    "zero_gradient_solve",
 ]
 
 
@@ -198,16 +197,6 @@ def cd2_gradient(design) -> np.ndarray:
     sgn(0) = 0 selects a deterministic subgradient.
     """
     return DiscrepancyCache(design).gradient()
-
-
-def zero_gradient_solve(design, i: int, j: int, t_max: int = 1) -> float:
-    """Coordinate value solving dCD2/dx_ij = 0 with sign terms frozen.
-
-    Runs the stationarity recursion ``t_max`` times from the current value
-    of x_ij (one step is normally sufficient) and returns the result clamped
-    into [0, 1].  Builds a full cache, so it costs O(n^2 s).
-    """
-    return DiscrepancyCache(design).zero_gradient_value(i, j, t_max)
 
 
 class DiscrepancyCache:
@@ -507,7 +496,11 @@ class DiscrepancyCache:
         return _coordinate_gradient(*self._visit_terms(i, j), self.n)
 
     def zero_gradient_value(self, i: int, j: int, t_max: int = 1) -> float:
-        """Stationarity recursion at (i, j) from cached state; clamped."""
+        """x_ij solving dCD2/dx_ij = 0 with the sign terms frozen, clamped into [0, 1].
+
+        Runs the stationarity recursion ``t_max`` times from the current x_ij
+        (one step is normally sufficient), from cached state in O(n + s).
+        """
         terms = self._visit_terms(i, j)
         if t_max < 1:
             raise ValueError("t_max must be >= 1")

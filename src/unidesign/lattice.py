@@ -23,7 +23,6 @@ __all__ = [
     "UTypeDesign",
     "random_utype",
     "embed",
-    "ta_neighbor",
     "threshold_sequence",
     "TraceRecord",
     "OptimizationTrace",
@@ -97,8 +96,8 @@ def embed(design: UTypeDesign) -> np.ndarray:
 def _draw_swap(rng: np.random.Generator, n: int, s: int):
     """One random (column, row1, row2) with distinct rows.
 
-    Draws the swap of ``ta_neighbor`` and the ``threshold_sequence`` probes;
-    ``ta_optimize`` draws its swaps a stage at a time with ``_draw_swaps``.
+    Draws the ``threshold_sequence`` probes; ``ta_optimize`` draws its swaps a
+    stage at a time with ``_draw_swaps``.
     """
     col = int(rng.integers(s))
     r1, r2 = rng.choice(n, size=2, replace=False)
@@ -127,18 +126,8 @@ _SCREEN_AFTER, _SCREEN_MIN_BLOCK, _SCREEN_MAX_BLOCK = 4, 16, 256
 _SCREEN_ELEMENTS, _SCREEN_MARGIN = 2048, 1e-12
 
 
-def ta_neighbor(design: UTypeDesign, rng: np.random.Generator) -> UTypeDesign:
-    """Swap two random entries within one random column (the TA neighborhood)."""
-    if design.n < 2:
-        raise ValueError("neighborhood requires n >= 2")
-    col, r1, r2 = _draw_swap(rng, design.n, design.s)
-    levels = design.levels.copy()
-    levels[[r1, r2], col] = levels[[r2, r1], col]
-    return UTypeDesign(levels, design.q)
-
-
 def threshold_sequence(
-    design: UTypeDesign,
+    cache: DiscrepancyCache,
     alpha: float,
     stages: int,
     probes: int,
@@ -147,19 +136,14 @@ def threshold_sequence(
     """Data-driven threshold schedule T_0..T_I, decreasing to exactly zero.
 
     T_0 is ``alpha`` times the range of CD2 over ``probes`` random swap
-    neighbors of ``design``; thereafter T_i = (I - i)/I * T_{i-1}.  A zero
-    probe range yields the all-zero schedule (TA degrades to local search).
+    neighbors of the lattice design held in ``cache`` (which is left as it
+    was); thereafter T_i = (I - i)/I * T_{i-1}.  A zero probe range yields
+    the all-zero schedule (TA degrades to local search).
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     if stages < 1 or probes < 1:
         raise ValueError("stages and probes must be >= 1")
-    return _threshold_schedule(DiscrepancyCache(embed(design)), alpha, stages, probes, rng)
-
-
-def _threshold_schedule(cache: DiscrepancyCache, alpha: float, stages: int, probes: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """``threshold_sequence`` from a cache of the design's embedding."""
     lo = np.inf
     hi = -np.inf
     for _ in range(probes):
@@ -263,7 +247,7 @@ def ta_optimize(config: TaConfig, schedule=None) -> TaResult:
         current = random_utype(config.n, config.q, config.s, rng)
     cache = DiscrepancyCache(embed(current))
     if schedule is None:
-        schedule = _threshold_schedule(cache, config.alpha, config.stages, config.probes, rng)
+        schedule = threshold_sequence(cache, config.alpha, config.stages, config.probes, rng)
     schedule = np.asarray(schedule, dtype=float).tolist()
 
     levels = current.levels.copy()

@@ -11,7 +11,8 @@ initialization, visiting coordinates in row-major order with in-place
 All refiners clamp iterates into [0, 1], are deterministic, and return the
 best design seen at any epoch boundary, so the result never degrades the
 initialization even when the per-sweep trajectory fluctuates.
-``refine_pipeline`` chains threshold accepting with a chosen refiner.
+The paper's pipeline, as ``construct`` runs it, starts a refiner from threshold
+accepting's best lattice design: ``cgd(embed(ta_optimize(ta_config).design))``.
 
 Cost per epoch: a CGD or unguarded CZG sweep visit is O(ns) elementwise work
 in a few numpy calls on the active row's f2 factors, plus one O(n^2) re-sum
@@ -26,8 +27,8 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from .discrepancy import DiscrepancyCache, cd2_gradient
-from .lattice import OptimizationTrace, TaConfig, embed, ta_optimize
+from .discrepancy import DiscrepancyCache
+from .lattice import OptimizationTrace
 
 __all__ = [
     "RefinerConfig",
@@ -35,8 +36,6 @@ __all__ = [
     "cgd",
     "czg",
     "cdfss",
-    "gradient_descent",
-    "refine_pipeline",
 ]
 
 TerminationReason = Literal["converged", "max_epochs", "no_improving_move"]
@@ -87,39 +86,34 @@ class RefineResult:
     termination: TerminationReason
 
 
-class _Run:
+def _loop(cache: DiscrepancyCache, epoch, max_epochs: int, epsilon: float) -> RefineResult:
     """The epoch loop common to all refiners.
 
-    ``loop`` calls ``epoch()`` up to ``max_epochs`` times.  The body moves the
-    design in ``self.cache`` (or replaces the cache), or returns a termination
-    reason, which ends the run before that epoch is recorded.  Each recorded
-    epoch refreshes the best design so far, and the run has converged when
-    CD2 changed by less than ``epsilon`` over the epoch.
+    Calls ``epoch()`` up to ``max_epochs`` times.  The body moves the design
+    in ``cache``, or returns a termination reason, which ends the run before
+    that epoch is recorded.  Each recorded epoch refreshes the best design so
+    far, and the run has converged when CD2 changed by less than ``epsilon``
+    over the epoch.
     """
-
-    def __init__(self, cache: DiscrepancyCache):
-        self.cache = cache
-
-    def loop(self, epoch, max_epochs: int, epsilon: float) -> RefineResult:
-        best_design, best_cd2 = self.cache.design, self.cache.cd2
-        trace = OptimizationTrace()
-        trace.append(0, best_cd2)
-        prev_cd2 = best_cd2
-        termination: TerminationReason = "max_epochs"
-        for step in range(1, max_epochs + 1):
-            reason = epoch()
-            if reason is not None:
-                termination = reason
-                break
-            value = self.cache.cd2
-            trace.append(step, value)
-            if value < best_cd2:
-                best_design, best_cd2 = self.cache.design, value
-            if abs(value - prev_cd2) < epsilon:
-                termination = "converged"
-                break
-            prev_cd2 = value
-        return RefineResult(best_design, best_cd2, trace, termination)
+    best_design, best_cd2 = cache.design, cache.cd2
+    trace = OptimizationTrace()
+    trace.append(0, best_cd2)
+    prev_cd2 = best_cd2
+    termination: TerminationReason = "max_epochs"
+    for step in range(1, max_epochs + 1):
+        reason = epoch()
+        if reason is not None:
+            termination = reason
+            break
+        value = cache.cd2
+        trace.append(step, value)
+        if value < best_cd2:
+            best_design, best_cd2 = cache.design, value
+        if abs(value - prev_cd2) < epsilon:
+            termination = "converged"
+            break
+        prev_cd2 = value
+    return RefineResult(best_design, best_cd2, trace, termination)
 
 
 def cgd(init, config: RefinerConfig | None = None) -> RefineResult:
@@ -134,7 +128,7 @@ def cgd(init, config: RefinerConfig | None = None) -> RefineResult:
     def epoch():
         cache.gradient_sweep(config.step_size)
 
-    return _Run(cache).loop(epoch, config.max_epochs, config.epsilon)
+    return _loop(cache, epoch, config.max_epochs, config.epsilon)
 
 
 def czg(init, config: RefinerConfig | None = None) -> RefineResult:
@@ -151,7 +145,7 @@ def czg(init, config: RefinerConfig | None = None) -> RefineResult:
     def epoch():
         cache.zero_gradient_sweep(config.t_max, config.guarded)
 
-    return _Run(cache).loop(epoch, config.max_epochs, config.epsilon)
+    return _loop(cache, epoch, config.max_epochs, config.epsilon)
 
 
 # CDFSS re-scores, with ``preview_update``, every move whose one-pass score is
@@ -203,39 +197,7 @@ def cdfss(init, config: RefinerConfig | None = None) -> RefineResult:
             return "no_improving_move"
 
     # an epsilon of 0 turns the convergence test off
-    return _Run(cache).loop(epoch, config.max_epochs, 0.0)
-
-
-def gradient_descent(init, config: RefinerConfig | None = None) -> RefineResult:
-    """Plain full-matrix gradient descent (comparison baseline).
-
-    Updates every coordinate simultaneously with the same step/epsilon/epoch
-    contract as the coordinate methods.
-    """
-    config = config or RefinerConfig()
-    run = _Run(DiscrepancyCache(init))
-
-    def epoch():
-        x = run.cache.design
-        run.cache = DiscrepancyCache(np.clip(x - config.step_size * cd2_gradient(x), 0.0, 1.0))
-
-    return run.loop(epoch, config.max_epochs, config.epsilon)
+    return _loop(cache, epoch, config.max_epochs, 0.0)
 
 
 _REFINERS = {"cgd": cgd, "czg": czg, "cdfss": cdfss}
-
-
-def refine_pipeline(
-    ta_config: TaConfig,
-    refiner: str = "cgd",
-    refiner_config: RefinerConfig | None = None,
-) -> RefineResult:
-    """Threshold accepting followed by a continuous coordinate refiner.
-
-    The best TA lattice design is embedded at (l - 0.5)/q and handed to the
-    chosen refiner; the result CD2 never exceeds the embedded TA value.  The
-    refiner trace starts at the TA design (step 0).
-    """
-    if refiner not in _REFINERS:
-        raise ValueError(f"unknown refiner {refiner!r}; expected one of {sorted(_REFINERS)}")
-    return _REFINERS[refiner](embed(ta_optimize(ta_config).design), refiner_config)

@@ -31,7 +31,6 @@ from scipy.optimize import minimize
 
 from .benchfns import TestFunction, normalize_bounds, scale_design
 from .discrepancy import as_design_matrix
-from . import sampling
 
 __all__ = [
     "TrendBasis",
@@ -40,7 +39,6 @@ __all__ = [
     "kriging_fit",
     "kriging_predict",
     "evaluate_mse",
-    "average_mse_over_samples",
 ]
 
 TrendBasis = Literal["poly0", "poly1", "poly2"]
@@ -236,11 +234,15 @@ def kriging_predict(model: KrigingModel, points) -> np.ndarray:
     """BLUP predictions b(x)' beta + r(x)' R^-1 (y - F beta) at given points.
 
     Points outside the unit cube are evaluated but flagged with a
-    ``RuntimeWarning`` (trend extrapolation dominates far away).
+    ``RuntimeWarning`` (trend extrapolation dominates far away).  NaN or inf
+    in ``points`` raises ``ValueError``.
     """
     p = np.atleast_2d(np.asarray(points, dtype=float))
     if p.shape[1] != model.s:
         raise ValueError(f"points must have {model.s} columns, got {p.shape[1]}")
+    bad = np.count_nonzero(~np.isfinite(p))
+    if bad:
+        raise ValueError(f"points have {bad} non-finite value(s)")
     outside = np.count_nonzero((p < 0.0) | (p > 1.0))
     if outside:
         warnings.warn(
@@ -285,38 +287,3 @@ def evaluate_mse(
     err = kriging_predict(model, test_points) - y_true
     mse = float(np.mean(err**2))
     return mse, float(np.sqrt(mse))
-
-
-def average_mse_over_samples(
-    sampler: str,
-    fn: TestFunction,
-    n: int,
-    s: int,
-    bounds=None,
-    basis: str = "poly0",
-    num_test_points: int = 1000,
-    seed: int = 0,
-    reps: int = 10,
-) -> tuple[float, float]:
-    """Average evaluate_mse over ``reps`` seeded LHS or MLHS samples.
-
-    Sample k uses sampler seed ``seed + k`` while every repetition is scored
-    on the same test set (drawn from ``seed``), so designs stay comparable.
-    Returns (mean mse, mean rmse).
-    """
-    if sampler not in ("lhs", "mlhs"):
-        raise ValueError(f"sampler must be 'lhs' or 'mlhs', got {sampler!r}")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    draw = sampling.lhs if sampler == "lhs" else sampling.mlhs
-    mses = []
-    rmses = []
-    for k in range(reps):
-        design = draw(n, s, seed + k)
-        mse, rmse = evaluate_mse(
-            design, fn, bounds=bounds, basis=basis,
-            num_test_points=num_test_points, seed=seed,
-        )
-        mses.append(mse)
-        rmses.append(rmse)
-    return float(np.mean(mses)), float(np.mean(rmses))

@@ -8,8 +8,8 @@ call, so the production refiners' row-blocked sweeps and one-pass CDFSS
 scoring must reproduce them bit for bit.  ``kernel_reference`` builds the
 pairwise kernel as whole n x n products, and the reference CD2, gradient
 matrix and zero-gradient solve build their own kernels, so the cache's
-row-blocked kernel, ``cd2``, ``cd2_gradient`` and ``zero_gradient_solve``
-must reproduce them bit for bit too.  ``preview_steps_reference`` builds
+row-blocked kernel, ``cd2``, ``cd2_gradient`` and
+``DiscrepancyCache.zero_gradient_value`` must reproduce them bit for bit too.  ``preview_steps_reference`` builds
 whole n x n temporaries per column and direction, and
 ``ta_optimize_reference`` previews every drawn swap exactly, so the
 row-blocked ``preview_steps`` and the screened ``ta_optimize`` must

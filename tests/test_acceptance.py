@@ -11,13 +11,13 @@ from unidesign import (
     RefinerConfig,
     TaConfig,
     UTypeDesign,
-    average_mse_over_samples,
     camelback,
     cd2,
     cd2_gradient,
     cdfss,
     cgd,
     czg,
+    embed,
     evaluate_mse,
     get_test_function,
     kriging_fit,
@@ -25,7 +25,6 @@ from unidesign import (
     lhd,
     lhs,
     mlhs,
-    refine_pipeline,
     scale_design,
     scale_lattice,
     ta_optimize,
@@ -110,7 +109,7 @@ def test_criterion_05_pipeline_reproduction_band():
         best = np.inf
         for seed in range(10):
             config = TaConfig(n=n, q=n, s=s, iterations_per_stage=10_000, seed=seed)
-            result = refine_pipeline(config, "cgd")
+            result = cgd(embed(ta_optimize(config).design))
             best = min(best, result.cd2)
         bands[(n, s)] = (best, band)
     elapsed = time.perf_counter() - t0
@@ -232,14 +231,15 @@ def test_criterion_11_modeling_comparison_trend():
     t0 = time.perf_counter()
     seed = 11
     fn = get_test_function("wood")
-    pipeline = refine_pipeline(TaConfig(n=27, q=27, s=4, seed=0), "cgd")
+    pipeline = cgd(embed(ta_optimize(TaConfig(n=27, q=27, s=4, seed=0)).design))
     _, rmse_pipeline = evaluate_mse(
         pipeline.design, fn, basis="poly0", num_test_points=1000, seed=seed
     )
-    _, rmse_mlhs = average_mse_over_samples(
-        "mlhs", fn, n=27, s=4, basis="poly0",
-        num_test_points=1000, seed=seed, reps=10,
-    )
+    # every MLHS sample k is drawn from seed + k and scored on the same test set
+    rmse_mlhs = float(np.mean([
+        evaluate_mse(mlhs(27, 4, seed + k), fn, basis="poly0", num_test_points=1000, seed=seed)[1]
+        for k in range(10)
+    ]))
     test_y = fn(scale_design(np.random.default_rng(seed).random((1000, 4)), fn.bounds))
     spread = float(np.std(test_y))
     elapsed = time.perf_counter() - t0

@@ -447,8 +447,10 @@ def test_bench_report_manifest_layout(capsys, tmp_path):
     (["bench", "--fn", "const", "--sampler", "lhs", "--n", "6"], 2,
      "--sampler requires --n and --s"),
     (["bench", "--fn", "wood", "--design", "{design}"], 3, "wood expects 4 factors, design has 3"),
+    (["bench", "--fn", "camelback", "--sampler", "lhs", "--n", "6", "--s", "4", "--reps", "1"], 2,
+     "camelback expects 2 factors, got --s 4"),
 ], ids=["construct-shape", "construct-init", "sample-utype", "bench-source", "bench-reps",
-        "bench-basis", "bench-sampler-shape", "bench-dimension"])
+        "bench-basis", "bench-sampler-shape", "bench-dimension", "bench-sampler-dimension"])
 def test_error_paths_print_one_line(capsys, tmp_path, argv, code, message):
     design = tmp_path / "d.csv"
     write_matrix_csv(str(design), np.random.default_rng(4).random((6, 3)))

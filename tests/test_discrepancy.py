@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
-from unidesign import DiscrepancyCache, cd2, cd2_gradient, lattice, zero_gradient_solve
+from unidesign import DiscrepancyCache, cd2, cd2_gradient, lattice
 from unidesign.discrepancy import _BLOCK
 from conftest import UD18X7_CD2, UD27X13_CD2
 from oracles import (
@@ -148,7 +148,6 @@ class TestOneDerivative:
                 for j in range(s):
                     for t_max in (1, 3):
                         expected = zero_gradient_solve_reference(x, i, j, t_max)
-                        assert zero_gradient_solve(x, i, j, t_max) == expected
                         assert cache.zero_gradient_value(i, j, t_max) == expected
 
     def test_gradient_after_commits_matches_fresh(self):
@@ -177,8 +176,6 @@ class TestOneDerivative:
             cache.coordinate_gradient(i, j)
         with pytest.raises(IndexError):
             cache.zero_gradient_value(i, j)
-        with pytest.raises(IndexError):
-            zero_gradient_solve(x, i, j)
 
 
 class TestRowBlocks:
@@ -494,14 +491,15 @@ class TestSwapDeltas:
 
 class TestZeroGradientSolve:
     def test_center_fixed_point(self):
-        assert zero_gradient_solve([[0.5]], 0, 0) == 0.5
+        assert DiscrepancyCache([[0.5]]).zero_gradient_value(0, 0) == 0.5
 
     def test_stationarity_when_sign_pattern_stable(self):
         # if the solved value keeps the sign pattern of the start point, the
         # gradient there must vanish
         x = off_kink_design(8, 3, seed=9)
+        cache = DiscrepancyCache(x)
         for i, j in [(0, 0), (3, 1), (7, 2)]:
-            solved = zero_gradient_solve(x, i, j, t_max=1)
+            solved = cache.zero_gradient_value(i, j, t_max=1)
             d_old = x[i, j] - 0.5
             d_new = solved - 0.5
             same_center_side = np.sign(d_old) == np.sign(d_new)
@@ -520,21 +518,26 @@ class TestZeroGradientSolve:
         x = np.full((3, 7), 0.95)
         x[0, 0] = 0.55
         x[2, 0] = 0.98
-        assert zero_gradient_solve(x, 0, 0) == 0.0
+        assert DiscrepancyCache(x).zero_gradient_value(0, 0) == 0.0
 
     def test_cache_variant_agrees(self):
-        x = random_design(9, 4, seed=12)
-        cache = DiscrepancyCache(x)
+        # after committed swaps and updates the cached recursion agrees with a fresh cache's
+        cache = DiscrepancyCache(random_design(9, 4, seed=12))
+        cache.apply_column_swap(1, 6, 2)
+        cache.update(4, 1, 0.3)
+        cache.apply_column_swap(0, 8, 3)
+        fresh = DiscrepancyCache(cache.design)
         for i, j in [(0, 0), (4, 2), (8, 3)]:
             assert cache.zero_gradient_value(i, j, 2) == pytest.approx(
-                zero_gradient_solve(x, i, j, 2), abs=1e-13
+                fresh.zero_gradient_value(i, j, 2), abs=1e-13
             )
 
     def test_validation(self):
+        cache = DiscrepancyCache([[0.5]])
         with pytest.raises(IndexError):
-            zero_gradient_solve([[0.5]], 1, 0)
+            cache.zero_gradient_value(1, 0)
         with pytest.raises(ValueError):
-            zero_gradient_solve([[0.5]], 0, 0, t_max=0)
+            cache.zero_gradient_value(0, 0, t_max=0)
 
 
 def test_coordinate_gradient_matches_full_matrix():

@@ -12,7 +12,6 @@ from unidesign import (
     cd2,
     embed,
     random_utype,
-    ta_neighbor,
     ta_optimize,
     threshold_sequence,
 )
@@ -77,49 +76,35 @@ class TestEmbed:
         assert x.max() <= 9.5 / 10
 
 
-class TestTaNeighbor:
-    def test_preserves_column_multisets(self):
-        rng = np.random.default_rng(0)
-        design = random_utype(6, 3, 4, seed=2)
-        for _ in range(20):
-            neighbor = ta_neighbor(design, rng)
-            assert column_multisets(neighbor) == column_multisets(design)
-            design = neighbor
-
-    def test_differs_in_exactly_two_cells_when_distinct(self):
-        rng = np.random.default_rng(1)
-        design = random_utype(5, 5, 3, seed=3)
-        neighbor = ta_neighbor(design, rng)
-        assert np.count_nonzero(neighbor.levels != design.levels) == 2
-
-    def test_degenerate_single_level(self):
-        rng = np.random.default_rng(2)
-        design = random_utype(2, 1, 2, seed=4)
-        neighbor = ta_neighbor(design, rng)
-        assert np.array_equal(neighbor.levels, design.levels)
-
-    def test_requires_two_rows(self):
-        design = UTypeDesign(np.array([[1]]), q=1)
-        with pytest.raises(ValueError):
-            ta_neighbor(design, np.random.default_rng(0))
+def lattice_cache(design: UTypeDesign) -> DiscrepancyCache:
+    return DiscrepancyCache(embed(design))
 
 
 class TestThresholdSequence:
     def test_matches_fresh_neighbor_probes(self):
-        # the schedule base must be alpha times the CD2 range over probes
-        # drawn exactly like ta_neighbor draws
+        # the schedule base must be alpha times the CD2 range over probe swaps,
+        # each scored here from scratch on a swapped copy of the levels
         design = random_utype(6, 6, 3, seed=7)
+        cache = lattice_cache(design)
         schedule = threshold_sequence(
-            design, alpha=0.3, stages=5, probes=40, rng=np.random.default_rng(9)
+            cache, alpha=0.3, stages=5, probes=40, rng=np.random.default_rng(9)
         )
         rng = np.random.default_rng(9)
-        values = [cd2(embed(ta_neighbor(design, rng))) for _ in range(40)]
+        values = []
+        for _ in range(40):
+            col, r1, r2 = lattice._draw_swap(rng, design.n, design.s)
+            levels = design.levels.copy()
+            levels[[r1, r2], col] = levels[[r2, r1], col]
+            values.append(cd2(embed(UTypeDesign(levels, design.q))))
         assert schedule[0] == pytest.approx(0.3 * (max(values) - min(values)), rel=1e-9)
+        # probing previews the swaps and leaves the cache as it was
+        assert np.array_equal(cache.design, embed(design))
+        assert cache.cd2 == lattice_cache(design).cd2
 
     def test_decay_proportions(self):
         design = random_utype(5, 5, 2, seed=8)
         schedule = threshold_sequence(
-            design, alpha=0.5, stages=4, probes=10, rng=np.random.default_rng(1)
+            lattice_cache(design), alpha=0.5, stages=4, probes=10, rng=np.random.default_rng(1)
         )
         assert len(schedule) == 5
         # ratios (I-i)/I: 3/4, 1/2, 1/4, 0 -> proportions 1, .75, .375, .09375, 0
@@ -131,7 +116,7 @@ class TestThresholdSequence:
     def test_single_stage(self):
         design = random_utype(4, 4, 2, seed=9)
         schedule = threshold_sequence(
-            design, alpha=0.2, stages=1, probes=5, rng=np.random.default_rng(2)
+            lattice_cache(design), alpha=0.2, stages=1, probes=5, rng=np.random.default_rng(2)
         )
         assert len(schedule) == 2
         assert schedule[1] == 0.0
@@ -140,16 +125,23 @@ class TestThresholdSequence:
         # a single-level design has only no-op swaps, so all probes tie
         design = random_utype(4, 1, 2, seed=10)
         schedule = threshold_sequence(
-            design, alpha=0.9, stages=3, probes=8, rng=np.random.default_rng(3)
+            lattice_cache(design), alpha=0.9, stages=3, probes=8, rng=np.random.default_rng(3)
         )
         assert np.all(schedule == 0.0)
 
     def test_alpha_domain(self):
-        design = random_utype(4, 4, 2, seed=11)
+        cache = lattice_cache(random_utype(4, 4, 2, seed=11))
         with pytest.raises(ValueError):
-            threshold_sequence(design, 0.0, 3, 5, np.random.default_rng(0))
+            threshold_sequence(cache, 0.0, 3, 5, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            threshold_sequence(design, 1.0, 3, 5, np.random.default_rng(0))
+            threshold_sequence(cache, 1.0, 3, 5, np.random.default_rng(0))
+
+    def test_stages_and_probes_domain(self):
+        cache = lattice_cache(random_utype(4, 4, 2, seed=11))
+        with pytest.raises(ValueError):
+            threshold_sequence(cache, 0.5, 0, 5, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            threshold_sequence(cache, 0.5, 3, 0, np.random.default_rng(0))
 
 
 def small_config(**overrides):
@@ -316,8 +308,8 @@ class TestScreenedTa:
     @pytest.mark.parametrize("n, q, s", [(18, 18, 7), (27, 27, 13), (12, 3, 4)])
     def test_threshold_probes_are_exact_previews(self, n, q, s):
         design = random_utype(n, q, s, seed=n)
-        schedule = threshold_sequence(design, 0.1, 20, 100, np.random.default_rng(1))
-        expected = threshold_schedule_reference(DiscrepancyCache(embed(design)), 0.1, 20, 100,
+        schedule = threshold_sequence(lattice_cache(design), 0.1, 20, 100, np.random.default_rng(1))
+        expected = threshold_schedule_reference(lattice_cache(design), 0.1, 20, 100,
                                                 np.random.default_rng(1))
         assert schedule.tobytes() == expected.tobytes()
 

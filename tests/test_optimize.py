@@ -10,8 +10,7 @@ from unidesign import (
     cgd,
     czg,
     embed,
-    gradient_descent,
-    refine_pipeline,
+    optimize,
     ta_optimize,
 )
 from conftest import UD18X7_CD2
@@ -129,30 +128,14 @@ class TestCdfss:
             cdfss(random_design(4, 3, seed=7), RefinerConfig(column_steps=[0.1, 0.2]))
 
 
-class TestGradientDescent:
-    def test_zero_step_is_a_noop(self):
-        init = random_design(5, 3, seed=0)
-        result = gradient_descent(init, RefinerConfig(step_size=0.0))
-        assert np.array_equal(result.design, init)
-        assert result.termination == "converged"
-        assert len(result.trace.records) == 2  # initial + first epoch
-
-    def test_single_point_descends_to_center(self):
-        result = gradient_descent([[0.2]], RefinerConfig(max_epochs=3000))
-        assert result.design[0, 0] == pytest.approx(0.5, abs=1e-3)
-        assert result.cd2 == pytest.approx(1 / 12, abs=1e-6)
-
-    def test_invariants(self):
-        init = random_design(6, 3, seed=8)
-        assert_refine_invariants(gradient_descent(init, RefinerConfig(max_epochs=50)), init)
-
-
 class TestRefinePipeline:
+    """TA's best lattice design, embedded, then a refiner: the two phases of ``construct``."""
+
     def test_improves_on_ta_result(self):
         config = TaConfig(n=6, q=6, s=3, stages=4, probes=20,
                           iterations_per_stage=100, seed=1)
         ta_result = ta_optimize(config)
-        result = refine_pipeline(config, "cgd", RefinerConfig(max_epochs=50))
+        result = cgd(embed(ta_result.design), RefinerConfig(max_epochs=50))
         assert result.trace.records[0].cd2 == pytest.approx(
             cd2(embed(ta_result.design)), abs=1e-12
         )
@@ -162,12 +145,9 @@ class TestRefinePipeline:
     def test_all_refiners_accepted(self, refiner):
         config = TaConfig(n=4, q=4, s=2, stages=2, probes=10,
                           iterations_per_stage=30, seed=2)
-        result = refine_pipeline(config, refiner, RefinerConfig(max_epochs=10))
+        result = optimize._REFINERS[refiner](embed(ta_optimize(config).design),
+                                             RefinerConfig(max_epochs=10))
         assert 0.0 <= result.design.min() and result.design.max() <= 1.0
-
-    def test_unknown_refiner_rejected(self):
-        with pytest.raises(ValueError):
-            refine_pipeline(TaConfig(n=4, q=4, s=2), "sgd")
 
 
 def test_different_initializations_reach_different_minima():

@@ -6,11 +6,12 @@ from unidesign import (
     TaConfig,
     UTypeDesign,
     cd2,
+    cgd,
     embed,
     lhd,
     lhs,
     mlhs,
-    refine_pipeline,
+    ta_optimize,
 )
 
 
@@ -89,6 +90,6 @@ def test_random_samples_are_less_uniform_than_optimized_designs():
     # a modest construction budget already beats the MLHS average on 18x7
     config = TaConfig(n=18, q=18, s=7, stages=5, probes=50,
                       iterations_per_stage=500, seed=0)
-    optimized = refine_pipeline(config, "cgd", RefinerConfig(max_epochs=40))
+    optimized = cgd(embed(ta_optimize(config).design), RefinerConfig(max_epochs=40))
     average = np.mean([cd2(mlhs(18, 7, seed=k)) for k in range(10)])
     assert average > optimized.cd2

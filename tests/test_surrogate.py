@@ -1,9 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from unidesign import (
     TaConfig,
-    average_mse_over_samples,
     basis_matrix,
     constant,
     embed,
@@ -16,7 +17,7 @@ from unidesign import (
     scale_design,
     ta_optimize,
 )
-from unidesign import surrogate
+from unidesign import cli, surrogate
 from unidesign.surrogate import _profiled_fit, _sq_diff
 from oracles import kriging_fit_reference, profiled_fit_reference
 
@@ -280,6 +281,20 @@ class TestKrigingPredict:
         with pytest.raises(ValueError):
             kriging_predict(model, np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        import warnings
+
+        x, y = training_set()
+        model = kriging_fit(x, y, "poly0")
+        points = np.full((2, 3), 0.5)
+        points[1, 0] = bad
+        points[1, 2] = 7.0  # outside the cube: the error comes before the warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="1 non-finite"):
+                kriging_predict(model, points)
+
 
 class TestEvaluateMse:
     def test_constant_function_fits_exactly(self):
@@ -317,6 +332,11 @@ class TestEvaluateMse:
         with pytest.raises(ValueError, match="test"):
             evaluate_mse(mlhs(27, 4, seed=1), fn, basis="poly1", **kwargs)
 
+    def test_non_finite_test_points_rejected(self):
+        fn = get_test_function("camelback")
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate_mse(mlhs(8, 2, seed=2), fn, test_points=[[np.nan, 0.5], [0.2, 0.3]])
+
     def test_bit_reproducible(self):
         fn = get_test_function("camelback")
         design = mlhs(12, 2, seed=7)
@@ -325,31 +345,35 @@ class TestEvaluateMse:
         assert a == b
 
 
+def bench_sampler(tmp_path, *argv) -> dict:
+    """The poly0 entry of a ``bench --sampler`` report: cells and their mean mse and rmse."""
+    out = tmp_path / "report.json"
+    assert cli.main(["bench", "--basis", "poly0", *argv, "--out", str(out)]) == 0
+    return json.loads(out.read_text())["bases"]["poly0"]
+
+
 class TestAverageMse:
-    def test_single_rep_reduces_to_evaluate_mse(self):
+    """``bench --sampler``: evaluate_mse averaged over seeded samples on one test set."""
+
+    def test_single_rep_reduces_to_evaluate_mse(self, tmp_path):
         fn = get_test_function("camelback")
         seed = 21
-        avg = average_mse_over_samples("lhs", fn, n=10, s=2, basis="poly0",
-                                       num_test_points=100, seed=seed, reps=1)
+        avg = bench_sampler(tmp_path, "--fn", "camelback", "--sampler", "lhs", "--n", "10",
+                            "--s", "2", "--reps", "1", "--test-points", "100", "--seed", str(seed))
         single = evaluate_mse(lhs(10, 2, seed), fn, basis="poly0",
                               num_test_points=100, seed=seed)
-        assert avg == pytest.approx(single, rel=1e-12)
+        assert (avg["mse"], avg["rmse"]) == single
 
-    def test_constant_function_is_zero(self):
-        fn = constant(2)
-        mse, rmse = average_mse_over_samples("mlhs", fn, n=6, s=2, basis="poly0",
-                                             num_test_points=40, seed=0, reps=3)
-        assert mse == pytest.approx(0.0, abs=1e-12)
-        assert rmse == pytest.approx(0.0, abs=1e-6)
+    def test_constant_function_is_zero(self, tmp_path):
+        avg = bench_sampler(tmp_path, "--fn", "const", "--sampler", "mlhs", "--n", "6", "--s", "2",
+                            "--reps", "3", "--test-points", "40", "--seed", "0")
+        assert avg["mse"] == pytest.approx(0.0, abs=1e-12)
+        assert avg["rmse"] == pytest.approx(0.0, abs=1e-6)
 
-    def test_wood_sixteen_run_mlhs_band(self):
+    def test_wood_sixteen_run_mlhs_band(self, tmp_path):
         # sanity band around the published sixteen-run MLHS average
-        fn = get_test_function("wood")
-        _, rmse = average_mse_over_samples("mlhs", fn, n=16, s=4, basis="poly0",
-                                           num_test_points=1000, seed=1, reps=10)
-        assert np.isfinite(rmse)
-        assert 725.0 / 5.0 <= rmse <= 725.0 * 5.0
-
-    def test_sampler_name_checked(self):
-        with pytest.raises(ValueError):
-            average_mse_over_samples("sobol", constant(2), n=4, s=2)
+        avg = bench_sampler(tmp_path, "--fn", "wood", "--sampler", "mlhs", "--n", "16", "--s", "4",
+                            "--reps", "10", "--test-points", "1000", "--seed", "1")
+        assert len(avg["cells"]) == 10
+        assert np.isfinite(avg["rmse"])
+        assert 725.0 / 5.0 <= avg["rmse"] <= 725.0 * 5.0
