@@ -80,6 +80,51 @@ def lattice_cache(design: UTypeDesign) -> DiscrepancyCache:
     return DiscrepancyCache(embed(design))
 
 
+def swap_in_cache(cache: DiscrepancyCache, rng: np.random.Generator) -> float:
+    """TA's neighbour move: draw a swap, preview it and commit it; return the committed CD2."""
+    col, r1, r2 = lattice._draw_swap(rng, cache.n, cache.s)
+    preview = cache.preview_column_swap(r1, r2, col)
+    assert cache.apply_column_swap(r1, r2, col) == preview
+    return preview
+
+
+def embedded_column_multisets(x: np.ndarray):
+    return [sorted(x[:, j]) for j in range(x.shape[1])]
+
+
+class TestTaNeighbor:
+    """TA's in-cache neighbour: one level exchange within a column."""
+
+    def test_preserves_column_multisets(self):
+        rng = np.random.default_rng(0)
+        design = random_utype(6, 3, 4, seed=2)
+        cache = lattice_cache(design)
+        for _ in range(20):
+            swap_in_cache(cache, rng)
+            assert embedded_column_multisets(cache.design) == \
+                embedded_column_multisets(embed(design))
+        assert cache.cd2 == pytest.approx(cd2(cache.design), rel=1e-12)
+
+    def test_differs_in_exactly_two_cells_when_distinct(self):
+        rng = np.random.default_rng(1)
+        design = random_utype(5, 5, 3, seed=3)
+        cache = lattice_cache(design)
+        swap_in_cache(cache, rng)
+        assert np.count_nonzero(cache.design != embed(design)) == 2
+
+    def test_degenerate_single_level(self):
+        rng = np.random.default_rng(2)
+        design = random_utype(2, 1, 2, seed=4)
+        cache = lattice_cache(design)
+        before = cache.cd2
+        assert swap_in_cache(cache, rng) == before
+        assert np.array_equal(cache.design, embed(design))
+
+    def test_requires_two_rows(self):
+        with pytest.raises(ValueError):
+            lattice._draw_swap(np.random.default_rng(0), 1, 1)
+
+
 class TestThresholdSequence:
     def test_matches_fresh_neighbor_probes(self):
         # the schedule base must be alpha times the CD2 range over probe swaps,

@@ -13,6 +13,7 @@ from unidesign import (
     optimize,
     ta_optimize,
 )
+from unidesign import cli
 from conftest import UD18X7_CD2
 from oracles import cdfss_reference, cgd_reference, czg_reference
 
@@ -148,6 +149,14 @@ class TestRefinePipeline:
         result = optimize._REFINERS[refiner](embed(ta_optimize(config).design),
                                              RefinerConfig(max_epochs=10))
         assert 0.0 <= result.design.min() and result.design.max() <= 1.0
+
+    def test_unknown_refiner_rejected(self, capsys):
+        # construct names its refiner through --algo; argparse refuses one not in _REFINERS
+        assert "sgd" not in optimize._REFINERS
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["construct", "--algo", "ta+sgd", "--n", "4", "--q", "4", "--s", "2"])
+        assert excinfo.value.code == 2
+        assert "ta+sgd" in capsys.readouterr().err
 
 
 def test_different_initializations_reach_different_minima():

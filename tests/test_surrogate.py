@@ -377,3 +377,9 @@ class TestAverageMse:
         assert len(avg["cells"]) == 10
         assert np.isfinite(avg["rmse"])
         assert 725.0 / 5.0 <= avg["rmse"] <= 725.0 * 5.0
+
+    def test_sampler_name_checked(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            bench_sampler(tmp_path, "--fn", "const", "--sampler", "sobol", "--n", "4", "--s", "2")
+        assert excinfo.value.code == 2
+        assert "sobol" in capsys.readouterr().err
