@@ -217,12 +217,12 @@ def _cmd_construct(args, argv) -> int:
     if from_ta:
         ta_result = ta_optimize(ta_config)
         design, final_cd2, trace = embed(ta_result.design), ta_result.cd2, ta_result.trace
-        termination = "schedule_exhausted"
+        summary = {"termination": "schedule_exhausted"}
     # phase 2: the continuous refiner
     if refine:
         result = refine(design, refiner_config)
         design, final_cd2, trace = result.design, result.cd2, result.trace
-        termination = result.termination
+        summary = {"termination": result.termination, "epochs": len(trace.records) - 1}
 
     write_matrix_csv(args.out, design)
     if args.trace:
@@ -232,7 +232,7 @@ def _cmd_construct(args, argv) -> int:
 
     _write_json(args.manifest, _manifest(
         "construct", argv, _manifest_config(args), t0,
-        {"cd2": final_cd2, "termination": termination, "shape": list(design.shape)},
+        {"cd2": final_cd2, **summary, "shape": list(design.shape)},
     ))
     print(f"{final_cd2:.10g}")
     return EXIT_OK

@@ -11,6 +11,19 @@ initialization, visiting coordinates in row-major order with in-place
 All refiners clamp iterates into [0, 1], are deterministic, and return the
 best design seen at any epoch boundary, so the result never degrades the
 initialization even when the per-sweep trajectory fluctuates.
+
+Every run ends for one stated reason, its ``termination``:
+
+* ``converged``         -- CD2 changed by less than ``epsilon`` over an epoch
+  (CGD, CZG);
+* ``cycle``             -- the design came back to within 1e-9 of its design
+  after one of the previous 12 epochs, so the sweeps repeat a limit cycle
+  (cyclic coordinate descent can cycle without converging; unguarded CZG at
+  27x13 does, with periods 2 to 12) and later epochs could only find
+  round-off (CGD, CZG);
+* ``max_epochs``        -- the epoch budget ran out;
+* ``no_improving_move`` -- no grid move lowers CD2 (CDFSS).
+
 The paper's pipeline, as ``construct`` runs it, starts a refiner from threshold
 accepting's best lattice design: ``cgd(embed(ta_optimize(ta_config).design))``.
 
@@ -22,6 +35,7 @@ in one O(n^2 s) pass per epoch and confirms the best with ``preview_update``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
 
@@ -38,7 +52,12 @@ __all__ = [
     "cdfss",
 ]
 
-TerminationReason = Literal["converged", "max_epochs", "no_improving_move"]
+TerminationReason = Literal["converged", "cycle", "max_epochs", "no_improving_move"]
+
+# a design within _CYCLE_TOL (max-abs) of the design after one of the previous
+# _CYCLE_WINDOW epochs ends the run with "cycle"
+_CYCLE_WINDOW = 12
+_CYCLE_TOL = 1e-9
 
 
 @dataclass
@@ -92,26 +111,36 @@ def _loop(cache: DiscrepancyCache, epoch, max_epochs: int, epsilon: float) -> Re
     Calls ``epoch()`` up to ``max_epochs`` times.  The body moves the design
     in ``cache``, or returns a termination reason, which ends the run before
     that epoch is recorded.  Each recorded epoch refreshes the best design so
-    far, and the run has converged when CD2 changed by less than ``epsilon``
-    over the epoch.
+    far.  The run has then converged when CD2 changed by less than
+    ``epsilon`` over the epoch; if not, it ends with ``cycle`` when the
+    design is within ``_CYCLE_TOL`` in every coordinate of the design after
+    one of the previous ``_CYCLE_WINDOW`` epochs (the starting design counts
+    as epoch 0).  An ``epsilon`` of 0 turns both tests off: CDFSS lowers CD2
+    at every recorded epoch, so its designs cannot come back, and a tiny
+    grid step must not read as a cycle.
     """
     best_design, best_cd2 = cache.design, cache.cd2
     trace = OptimizationTrace()
     trace.append(0, best_cd2)
     prev_cd2 = best_cd2
+    recent = deque([best_design], maxlen=_CYCLE_WINDOW if epsilon > 0 else 0)
     termination: TerminationReason = "max_epochs"
     for step in range(1, max_epochs + 1):
         reason = epoch()
         if reason is not None:
             termination = reason
             break
-        value = cache.cd2
+        value, design = cache.cd2, cache.design
         trace.append(step, value)
         if value < best_cd2:
-            best_design, best_cd2 = cache.design, value
+            best_design, best_cd2 = design, value
         if abs(value - prev_cd2) < epsilon:
             termination = "converged"
             break
+        if any(np.abs(design - past).max() <= _CYCLE_TOL for past in recent):
+            termination = "cycle"
+            break
+        recent.append(design)
         prev_cd2 = value
     return RefineResult(best_design, best_cd2, trace, termination)
 

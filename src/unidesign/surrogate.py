@@ -133,6 +133,17 @@ def _profiled_fit(d2, y, f, theta, nugget):
     return chol_l, beta, rho, sigma2, nll
 
 
+def _stop_if_hopeless(intermediate_result) -> None:
+    """Nelder-Mead callback: end a start whose whole simplex is inf.
+
+    Such a start has found no scales whose correlation matrix factors, and a
+    simplex of equal values never meets the search's stopping test, so it
+    would wander for all ``maxiter`` iterations.
+    """
+    if intermediate_result.fun == np.inf:
+        raise StopIteration
+
+
 def kriging_fit(
     design,
     y,
@@ -146,8 +157,9 @@ def kriging_fit(
     The theta search runs a bounded Nelder-Mead in log(theta) space from
     ``_MULTISTARTS`` log-spaced isotropic starts and keeps the best of all
     starts and their initial points, so the returned likelihood is never
-    worse than any start.  Fully deterministic.  Passing ``theta`` skips the
-    search and fits the generalized least squares model at those scales.
+    worse than any start; a start whose whole simplex is inf ends early.
+    Fully deterministic.  Passing ``theta`` skips the search and fits the
+    generalized least squares model at those scales.
 
     Raises ``ValueError`` before any solve: for NaN or inf in ``y``, a
     non-finite or non-positive ``theta``, ``theta_bounds`` not finite with
@@ -204,6 +216,7 @@ def kriging_fit(
                         start,
                         method="Nelder-Mead",
                         options={"xatol": 1e-4, "fatol": 1e-10, "maxiter": 400 * s},
+                        callback=_stop_if_hopeless,
                     )
                     cand = res.x
                 val = nll_at(cand)
@@ -269,7 +282,9 @@ def evaluate_mse(
     fits the requested trend, then scores mean squared prediction error on
     ``num_test_points`` uniform points in the bounds (drawn with ``seed``).
     Returns (mse, rmse).  ``test_points`` overrides the drawn unit-cube test
-    set (harness hook; e.g. re-scoring at the training points).
+    set (harness hook; e.g. re-scoring at the training points).  A bad test
+    set (too few points, the wrong width, NaN or inf) raises ``ValueError``
+    before the fit.
     """
     x = as_design_matrix(design)
     bounds_arr = normalize_bounds(bounds if bounds is not None else fn.bounds, x.shape[1])
@@ -281,6 +296,9 @@ def evaluate_mse(
     test_points = np.atleast_2d(np.asarray(test_points, dtype=float))
     if test_points.shape[1] != x.shape[1]:
         raise ValueError(f"test_points must have {x.shape[1]} columns, got {test_points.shape[1]}")
+    bad = np.count_nonzero(~np.isfinite(test_points))
+    if bad:
+        raise ValueError(f"test_points have {bad} non-finite value(s)")
     y = np.asarray(fn(scale_design(x, bounds_arr)), dtype=float)
     model = kriging_fit(x, y, basis)
     y_true = np.asarray(fn(scale_design(test_points, bounds_arr)), dtype=float)

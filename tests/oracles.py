@@ -196,23 +196,30 @@ def off_kink_design(n: int, s: int, seed: int, gap: float = 1e-3) -> np.ndarray:
 
 
 def _reference_loop(cache, epoch, max_epochs, epsilon):
-    """Epoch loop of the refiners: best-so-far, |delta CD2| < epsilon, max_epochs.
+    """Epoch loop of the refiners: best-so-far, |delta CD2| < epsilon, a design
+    within 1e-9 (max-abs) of one of the 12 before it, max_epochs.  An epsilon
+    of 0 turns off the two tests.
 
     Returns ``(design, cd2, termination, [(step, cd2), ...])``.
     """
     best_design, best_cd2 = cache.design, cache.cd2
     trace = [(0, best_cd2)]
+    designs = [best_design]
     prev = best_cd2
     for step in range(1, max_epochs + 1):
         reason = epoch()
         if reason is not None:
             return best_design, best_cd2, reason, trace
         value = cache.cd2
+        design = cache.design
         trace.append((step, value))
         if value < best_cd2:
-            best_design, best_cd2 = cache.design, value
+            best_design, best_cd2 = design, value
         if abs(value - prev) < epsilon:
             return best_design, best_cd2, "converged", trace
+        if epsilon > 0 and any(np.max(np.abs(design - past)) <= 1e-9 for past in designs[-12:]):
+            return best_design, best_cd2, "cycle", trace
+        designs.append(design)
         prev = value
     return best_design, best_cd2, "max_epochs", trace
 

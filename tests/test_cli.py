@@ -182,6 +182,11 @@ class TestConstruct:
         assert rows[0][0] == "0"
         manifest = json.loads((tmp_path / "d.manifest.json").read_text())
         assert manifest["result"]["cd2"] == pytest.approx(printed, abs=1e-9)
+        if algo == "ta":
+            assert manifest["result"]["termination"] == "schedule_exhausted"
+            assert "epochs" not in manifest["result"]
+        else:
+            assert manifest["result"]["epochs"] == len(rows) - 1
         proj_rows = proj.read_text().strip().splitlines()
         assert len(proj_rows) == 3 * 6  # s(s-1)/2 pairs x n runs
 
@@ -214,6 +219,15 @@ class TestConstruct:
         )
         assert code == 0
         assert float(stdout.strip()) <= UD18X7_CD2 + 1e-6
+
+    def test_unguarded_czg_records_its_cycle_stop(self, capsys, tmp_path):
+        # the default --max-epochs 1000; the sweeps enter a limit cycle within 20
+        code, _, _ = run(capsys, "construct", "--algo", "ta+czg", "--n", "27", "--q", "27",
+                         "--s", "13", "--seed", "0", "--out", str(tmp_path / "d.csv"))
+        assert code == 0
+        result = json.loads((tmp_path / "d.manifest.json").read_text())["result"]
+        assert result["termination"] == "cycle"
+        assert 0 < result["epochs"] < 50
 
     def test_standalone_refiner_requires_init(self, capsys, tmp_path):
         code, _, err = run(capsys, "construct", "--algo", "czg",

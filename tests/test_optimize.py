@@ -89,6 +89,26 @@ class TestCzg:
         assert not np.array_equal(one.design, three.design)
 
 
+class TestCycleStop:
+    def test_unguarded_czg_stops_at_its_limit_cycle(self, monkeypatch):
+        init = embed(ta_optimize(TaConfig(n=27, q=27, s=13, seed=0)).design)
+        result = czg(init)
+        assert result.termination == "cycle"
+        assert len(result.trace.records) - 1 < 50
+        assert_refine_invariants(result, init)
+        # with the rule off the sweeps repeat their cycle until max_epochs
+        monkeypatch.setattr(optimize, "_CYCLE_WINDOW", 0)
+        full = czg(init, RefinerConfig(max_epochs=1000))
+        assert full.termination == "max_epochs"
+        assert abs(result.cd2 - full.cd2) <= 1e-13
+
+    def test_tiny_cdfss_steps_are_not_a_cycle(self):
+        # each epoch moves the point by 1e-12, well inside the cycle tolerance
+        result = cdfss([[0.3]], RefinerConfig(column_steps=[1e-12], max_epochs=5))
+        assert result.termination == "max_epochs"
+        assert len(result.trace.records) == 6
+
+
 class TestCdfss:
     def test_single_point_reaches_center_on_grid(self):
         result = cdfss([[0.3]], RefinerConfig(column_steps=[0.1], max_epochs=20))

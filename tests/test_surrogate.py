@@ -195,6 +195,20 @@ class TestBitIdenticalToReference:
         pts = np.random.default_rng(2).random((20, 2))
         assert_same_fit(model, kriging_fit_reference(x, y, "poly0", **kw), pts)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_hopeless_starts_end_early(self, monkeypatch):
+        # the smallest scales of test_failing_starts fail at every simplex
+        # vertex; such a start must end, not wander for all 400 * s iterations
+        x = mlhs(20, 2, seed=3)
+        y = np.sin(5.0 * x).sum(axis=1)
+        results = []
+        search = surrogate.minimize
+        monkeypatch.setattr(surrogate, "minimize",
+                            lambda *a, **kw: results.append(search(*a, **kw)) or results[-1])
+        kriging_fit(x, y, "poly0", theta_bounds=(1e-6, 1e2), nugget=0.0)
+        hopeless = [r.nfev for r in results if r.fun == np.inf]
+        assert hopeless and max(hopeless) <= 10
+
 
 @pytest.mark.parametrize("n, s, basis", [(7, 1, "poly0"), (12, 3, "poly1"), (27, 4, "poly2"),
                                          (140, 15, "poly2")])
@@ -322,6 +336,7 @@ class TestEvaluateMse:
     @pytest.mark.parametrize("kwargs", [
         {"num_test_points": 0},
         {"test_points": np.zeros((5, 3))},
+        {"test_points": [[0.5, np.nan, 0.5, 0.5], [0.2, 0.3, 0.4, 0.5]]},
     ])
     def test_bad_test_set_rejected_before_fitting(self, monkeypatch, kwargs):
         def no_fit(*args, **kw):
