@@ -26,7 +26,8 @@ a rejected visit by committing the old value again), ``preview_steps`` scores
 every fixed-step move in one pass, and ``gradient`` applies the one written-out
 partial derivative, ``_slope``, to every coordinate.  The kernel build,
 ``gradient`` and ``preview_steps`` run in fixed row blocks and make no n x n
-temporaries.
+temporaries.  The build computes each unordered pair of rows once and mirrors
+it, and its entries are still bit for bit those of whole-matrix products.
 """
 
 from __future__ import annotations
@@ -70,32 +71,51 @@ def _f2(u, au, w, aw):
     return 1.0 + 0.5 * (au + aw) - 0.5 * np.abs(u - w)
 
 
-_BLOCK = 64  # rows per block of the O(n^2 s) passes; 16 to 256 measure alike at n = 2000
+# rows per block of the O(n^2 s) passes; at 2000x5 the mirrored kernel build
+# takes alike at 16 to 64 rows and 10-40% longer at 128 or 256
+_BLOCK = 64
 
 
-def _f2_rows(out, tmp, u, au, w, aw) -> None:
-    """Write f2(u_r, w_k) into ``out`` (len(u) x len(w)) in ``_f2``'s operation order; ``tmp`` is scratch."""
+def _f2_rows(out, tmp, u, au, w, aw, diff=None) -> None:
+    """Write f2(u_r, w_k) into ``out`` (len(u) x len(w)) in ``_f2``'s operation order.
+
+    ``tmp`` is scratch; a ``diff`` array of the same shape also receives u_r - w_k.
+    """
     np.add(au[:, None], aw, out=out)
     out *= 0.5
     out += 1.0
-    np.subtract(u[:, None], w, out=tmp)
-    np.abs(tmp, out=tmp)
+    if diff is None:
+        diff = tmp
+    np.subtract(u[:, None], w, out=diff)
+    np.abs(diff, out=tmp)
     tmp *= 0.5
     out -= tmp
 
 
 def _kernel(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The n x n pairwise kernel, entry (i, l) = prod_k f2(x_ik, x_lk), in row blocks."""
+    """The n x n pairwise kernel, entry (i, l) = prod_k f2(x_ik, x_lk), in row blocks.
+
+    Each unordered pair is computed once and mirrored: a block of rows
+    r0..r0+m-1 takes only columns r0..n-1, in a contiguous m x (n - r0)
+    buffer, and its part right of the block is copied into the rows below it.
+    The entries are still bit for bit those of whole-matrix products, factor
+    by factor in k order: f2 is symmetric in IEEE arithmetic (a + b == b + a
+    and |u - w| == |w - u|), and the first factor is written as is (1 * f == f).
+    """
     n = x.shape[0]
     xt, at = x.T.copy(), a.T.copy()  # contiguous columns
-    kernel = np.ones((n, n))
-    f2, tmp = np.empty((2, min(_BLOCK, n), n))
+    kernel = np.empty((n, n))
+    scratch = np.empty((3, min(_BLOCK, n) * n))
     for r0 in range(0, n, _BLOCK):
-        rows = slice(r0, r0 + _BLOCK)
-        m = min(_BLOCK, n - r0)
-        for u, au in zip(xt, at):
-            _f2_rows(f2[:m], tmp[:m], u[rows], au[rows], u, au)
-            kernel[rows] *= f2[:m]
+        m, width = min(_BLOCK, n - r0), n - r0
+        rows = slice(r0, r0 + m)
+        product, f2, tmp = (buffer[:m * width].reshape(m, width) for buffer in scratch)
+        for k, (u, au) in enumerate(zip(xt, at)):
+            _f2_rows(f2 if k else product, tmp, u[rows], au[rows], u[r0:], au[r0:])
+            if k:
+                product *= f2
+        kernel[rows, r0:] = product
+        kernel[r0 + m:, rows] = product[:, m:].T
     return kernel
 
 
@@ -352,16 +372,15 @@ class DiscrepancyCache:
         p2 = np.prod(g2, axis=1, keepdims=True) / g2
         xt, at = x.T.copy(), a.T.copy()  # contiguous columns
         sums = np.empty_like(x)
-        loo, w = np.empty((2, min(_BLOCK, n), n))
+        loo, w, tmp = np.empty((3, min(_BLOCK, n), n))
         for r0 in range(0, n, _BLOCK):
             rows = slice(r0, r0 + _BLOCK)
             kernel = self._kernel[rows]
-            lb, wb = loo[:len(kernel)], w[:len(kernel)]
+            lb, wb, tb = loo[:len(kernel)], w[:len(kernel)], tmp[:len(kernel)]
             for j, (u, au) in enumerate(zip(xt, at)):
-                # lb = kernel / f2 and wb = sc/2 - sgn(x_ij - x_kj)/2, in place
-                _f2_rows(lb, wb, u[rows], au[rows], u, au)
+                # lb = kernel / f2 and wb = sc/2 - sgn(x_ij - x_kj)/2 from f2's differences, in place
+                _f2_rows(lb, tb, u[rows], au[rows], u, au, diff=wb)
                 np.divide(kernel, lb, out=lb)
-                np.subtract(u[rows, None], u, out=wb)
                 np.sign(wb, out=wb)
                 wb *= 0.5
                 np.subtract(0.5 * sc[rows, j, None], wb, out=wb)

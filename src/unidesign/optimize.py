@@ -65,12 +65,12 @@ class RefinerConfig:
     """Shared knobs for the coordinate refiners.
 
     ``step_size`` is the CGD step, finite and >= 0 (0 is accepted as a
-    degenerate no-op configuration); ``epsilon`` is the per-epoch CD2 change
-    below which a run is declared converged (CDFSS ignores it and stops only
-    when no move improves); ``t_max`` is the CZG recursion depth;
-    ``column_steps`` are the CDFSS per-column grid steps, finite and positive
-    (default 1/(2n)).  ``guarded`` makes CZG reject coordinate updates that
-    increase CD2.
+    degenerate no-op configuration); ``epsilon`` is the per-epoch CD2 change,
+    finite and > 0, below which a run is declared converged (CDFSS ignores it
+    and stops only when no move improves); ``t_max`` is the CZG recursion
+    depth; ``column_steps`` are the CDFSS per-column grid steps, finite and
+    positive (default 1/(2n)).  ``guarded`` makes CZG reject coordinate updates
+    that increase CD2.
     """
 
     step_size: float = 0.01
@@ -84,8 +84,8 @@ class RefinerConfig:
         # written so that NaN fails every test
         if not 0.0 <= self.step_size < np.inf:
             raise ValueError("step_size must be finite and >= 0")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and > 0")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if self.t_max < 1:

@@ -242,7 +242,8 @@ class TestConstruct:
         assert code == 3
 
     @pytest.mark.parametrize("flag, value", [
-        ("--delta", "nan"), ("--delta", "inf"), ("--epsilon", "nan"), ("--delta-j", "nan"),
+        ("--delta", "nan"), ("--delta", "inf"), ("--epsilon", "nan"), ("--epsilon", "inf"),
+        ("--delta-j", "nan"),
     ])
     def test_non_finite_refiner_setting_exit_2(self, capsys, tmp_path, flag, value):
         init = tmp_path / "i.csv"

@@ -183,14 +183,27 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("kind", ["random", "lattice", "kinks"])
     @pytest.mark.parametrize(
-        "n, s", [(n, 3) for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)] + [(500, 10)]
+        "n, s",
+        [(n, 3) for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 2 * _BLOCK + 3)]
+        + [(2 * _BLOCK + 1, 1), (500, 10)],
     )
     def test_matches_full_matrix_references_bit_for_bit(self, kind, n, s):
+        # 2 * _BLOCK + 1 rows leave a last block of one row; s = 1 builds from the first factor alone
         x = _kind_design(kind, n, s, np.random.default_rng(n))
         kernel = kernel_reference(x, np.abs(x - 0.5))
-        assert DiscrepancyCache(x).kernel.tobytes() == kernel.tobytes()
+        built = DiscrepancyCache(x).kernel
+        assert built.tobytes() == kernel.tobytes()
+        # the mirrored triangle is exactly the computed one
+        assert built.tobytes() == built.T.copy().tobytes()
         assert np.float64(cd2(x)).tobytes() == np.float64(cd2_kernel_reference(x)).tobytes()
         assert cd2_gradient(x).tobytes() == cd2_gradient_reference(x).tobytes()
+
+    def test_large_n_shape_matches_reference_bit_for_bit(self):
+        x = random_design(2000, 5, seed=905)
+        built = DiscrepancyCache(x).kernel
+        assert built.tobytes() == kernel_reference(x, np.abs(x - 0.5)).tobytes()
+        assert built.tobytes() == built.T.copy().tobytes()
+        assert np.float64(cd2(x)).tobytes() == np.float64(cd2_kernel_reference(x)).tobytes()
 
     @pytest.mark.parametrize("fn", [cd2, cd2_gradient])
     def test_peak_memory_is_about_one_kernel(self, fn):

@@ -208,8 +208,8 @@ def test_config_validation():
             RefinerConfig(step_size=bad)
         with pytest.raises(ValueError):
             RefinerConfig(column_steps=[0.1, bad])
-    with pytest.raises(ValueError):
-        RefinerConfig(epsilon=float("nan"))
+        with pytest.raises(ValueError):
+            RefinerConfig(epsilon=bad)
 
 
 def _design(kind, n, s, seed):
