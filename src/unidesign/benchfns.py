@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import UTypeDesign
+from .lattice import UTypeDesign, _lattice_levels
 
 __all__ = [
     "TestFunction",
@@ -126,11 +126,7 @@ def scale_lattice(design, bounds, q: int | None = None) -> np.ndarray:
     else:
         if q is None:
             raise ValueError("plain level matrices need an explicit q")
-        levels = np.asarray(design)
-        if levels.ndim != 2 or levels.min() < 1 or levels.max() > q:
-            raise ValueError(f"levels must form a 2-D matrix with entries in 1..{q}")
+        levels = _lattice_levels(design, q)
     if q < 2:
         raise ValueError("lattice scaling needs q >= 2")
-    b = normalize_bounds(bounds, levels.shape[1])
-    frac = (levels - 1) / (q - 1)
-    return b[:, 0] + frac * (b[:, 1] - b[:, 0])
+    return scale_design((levels - 1) / (q - 1), bounds)

@@ -45,7 +45,7 @@ _ALGOS = ("ta", *(f"ta+{r}" for r in optimize._REFINERS), *optimize._REFINERS)
 
 # sample --kind: (draw(args) -> matrix, integer cells); each draw looks its sampler up when called
 _SAMPLERS = {
-    "lhd": (lambda a: lhd(a.n, a.s, a.seed).perms, True),
+    "lhd": (lambda a: lhd(a.n, a.s, a.seed).levels, True),
     "lhs": (lambda a: lhs(a.n, a.s, a.seed), False),
     "mlhs": (lambda a: mlhs(a.n, a.s, a.seed), False),
     "utype": (lambda a: random_utype(a.n, a.q, a.s, a.seed).levels, True),
@@ -56,8 +56,8 @@ class DesignFileError(Exception):
     """Bad design: non-numeric or non-finite cell, ragged rows, out-of-range entry, wrong width."""
 
 
-def read_design_csv(path: str, unit_range: bool = True) -> np.ndarray:
-    """Read a headerless numeric CSV design with row/column diagnostics."""
+def read_design_csv(path: str) -> np.ndarray:
+    """Read a headerless numeric CSV design of unit-cube points, with row/column diagnostics."""
     rows = []
     try:
         fh = open(path, newline="")
@@ -90,7 +90,7 @@ def read_design_csv(path: str, unit_range: bool = True) -> np.ndarray:
                 f"{path}: row {r + 1} has {len(row)} cells, expected {width}"
             )
     x = np.array(rows, dtype=float)
-    if unit_range and (x.min() < 0.0 or x.max() > 1.0):
+    if x.min() < 0.0 or x.max() > 1.0:
         i, j = np.unravel_index(np.argmax(np.abs(x - 0.5)), x.shape)
         raise DesignFileError(
             f"{path}: row {i + 1}, column {j + 1}: entry {x[i, j]} outside [0, 1]"

@@ -32,29 +32,35 @@ __all__ = [
 ]
 
 
+def _lattice_levels(levels, q: int) -> np.ndarray:
+    """``levels`` as a new 2-D int64 matrix; a non-finite, fractional or out-of-range entry raises."""
+    levels = np.asarray(levels)
+    if levels.ndim != 2:
+        raise ValueError("levels must be a 2-D integer matrix")
+    if not np.issubdtype(levels.dtype, np.integer):
+        if not np.all(np.isfinite(levels) & (levels == np.round(levels))):
+            raise ValueError("levels must be integers")
+    levels = levels.astype(np.int64)
+    if levels.min() < 1 or levels.max() > q:
+        raise ValueError(f"levels must lie in 1..{q}")
+    return levels
+
+
 @dataclass(frozen=True)
 class UTypeDesign:
-    """Balanced lattice design: levels in {1..q}, each n/q times per column."""
+    """Balanced lattice design: levels in {1..q}, each n/q times per column (q = n: an LHD)."""
 
     levels: np.ndarray
     q: int
 
     def __post_init__(self):
-        levels = np.asarray(self.levels)
-        if levels.ndim != 2:
-            raise ValueError("levels must be a 2-D integer matrix")
-        if not np.issubdtype(levels.dtype, np.integer):
-            if not np.all(levels == np.round(levels)):
-                raise ValueError("levels must be integers")
-        levels = levels.astype(np.int64, copy=True)
-        n, s = levels.shape
         q = int(self.q)
         if q < 1:
             raise ValueError("q must be >= 1")
+        levels = _lattice_levels(self.levels, q)
+        n, s = levels.shape
         if n % q != 0:
             raise ValueError(f"q={q} must divide n={n}")
-        if levels.min() < 1 or levels.max() > q:
-            raise ValueError(f"levels must lie in 1..{q}")
         reps = n // q
         for j in range(s):
             counts = np.bincount(levels[:, j], minlength=q + 1)[1:]

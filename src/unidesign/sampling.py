@@ -1,80 +1,46 @@
 """Latin hypercube designs and the LHS / mid-point LHS samplers.
 
-Column j of an LHD is a random permutation pi_j of {1..n}.  LHS places point
-k of column j at (pi_j(k) - U) / n with U uniform on (0, 1], one independent
-draw per cell; MLHS fixes U at the stratum mid-point 0.5.  Each column uses
-its own spawned child stream of the seed, so samplers are reproducible and
-columns can be generated independently.
+A Latin hypercube design (LHD) is the U-type design U(n; n^s) with q = n:
+column j is a random permutation pi_j of {1..n}, and ``lhd`` returns it as a
+``UTypeDesign``.  LHS places point k of column j at (pi_j(k) - U) / n with U
+uniform on (0, 1], one independent draw per cell; MLHS fixes U at the stratum
+mid-point 0.5, so it is the LHD's ``embed``.  Each column uses its own spawned
+child stream of the seed, which draws the permutation first and any uniforms
+second, so samplers are reproducible and columns can be generated independently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["LatinHypercubeDesign", "lhd", "lhs", "mlhs"]
+from .lattice import UTypeDesign, embed
+
+__all__ = ["lhd", "lhs", "mlhs"]
 
 
-@dataclass(frozen=True)
-class LatinHypercubeDesign:
-    """n x s integer matrix whose columns are permutations of {1..n}."""
-
-    perms: np.ndarray
-
-    def __post_init__(self):
-        perms = np.asarray(self.perms, dtype=np.int64)
-        if perms.ndim != 2:
-            raise ValueError("perms must be a 2-D matrix")
-        n = perms.shape[0]
-        expected = np.arange(1, n + 1)
-        for j in range(perms.shape[1]):
-            if not np.array_equal(np.sort(perms[:, j]), expected):
-                raise ValueError(f"column {j} is not a permutation of 1..{n}")
-        perms.setflags(write=False)
-        object.__setattr__(self, "perms", perms)
-
-    @property
-    def n(self) -> int:
-        return self.perms.shape[0]
-
-    @property
-    def s(self) -> int:
-        return self.perms.shape[1]
-
-
-def _column_streams(seed: int, s: int) -> list[np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(s)
-    return [np.random.default_rng(c) for c in children]
-
-
-def lhd(n: int, s: int, seed: int) -> LatinHypercubeDesign:
-    """Random Latin hypercube design, deterministic per seed."""
+def _column_draws(n: int, s: int, seed: int) -> list[tuple[np.random.Generator, np.ndarray]]:
+    """Each column's child stream of ``seed``, with the permutation of 1..n it drew."""
     if n < 1 or s < 1:
         raise ValueError("n and s must be >= 1")
-    streams = _column_streams(seed, s)
-    perms = np.column_stack([rng.permutation(n) + 1 for rng in streams])
-    return LatinHypercubeDesign(perms)
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(s)]
+    return [(rng, rng.permutation(n) + 1) for rng in rngs]
+
+
+def lhd(n: int, s: int, seed: int) -> UTypeDesign:
+    """Random Latin hypercube design (a U-type design with q = n), deterministic per seed."""
+    return UTypeDesign(np.column_stack([perm for _, perm in _column_draws(n, s, seed)]), q=n)
 
 
 def lhs(n: int, s: int, seed: int) -> np.ndarray:
     """Latin hypercube sample: entries (pi_j(k) - U_k^j)/n, all in (0, 1).
 
-    Each column stream draws its permutation first and its n uniforms second.
     U is taken from (0, 1] so that every entry stays strictly inside its
     stratum [(pi-1)/n, pi/n).
     """
-    if n < 1 or s < 1:
-        raise ValueError("n and s must be >= 1")
-    streams = _column_streams(seed, s)
-    cols = []
-    for rng in streams:
-        perm = rng.permutation(n) + 1
-        u = 1.0 - rng.random(n)
-        cols.append((perm - u) / n)
-    return np.column_stack(cols)
+    return np.column_stack([(perm - (1.0 - rng.random(n))) / n
+                            for rng, perm in _column_draws(n, s, seed)])
 
 
 def mlhs(n: int, s: int, seed: int) -> np.ndarray:
-    """Mid-point LHS: entries (pi_j(k) - 0.5)/n on the mid-point lattice."""
-    return (lhd(n, s, seed).perms - 0.5) / n
+    """Mid-point LHS: entries (pi_j(k) - 0.5)/n, the embedding of ``lhd``."""
+    return embed(lhd(n, s, seed))

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.optimize import minimize
 
-from .benchfns import TestFunction, normalize_bounds, scale_design
+from .benchfns import TestFunction, scale_design
 from .discrepancy import as_design_matrix
 
 __all__ = [
@@ -270,7 +270,6 @@ def kriging_predict(model: KrigingModel, points) -> np.ndarray:
 def evaluate_mse(
     design,
     fn: TestFunction,
-    bounds=None,
     basis: str = "poly0",
     num_test_points: int = 1000,
     seed: int = 0,
@@ -278,7 +277,7 @@ def evaluate_mse(
 ) -> tuple[float, float]:
     """Prediction error of a Kriging fit on a design, wood-style protocol.
 
-    Scales the unit-cube design to the experiment bounds, evaluates ``fn``,
+    Scales the unit-cube design to ``fn.bounds``, evaluates ``fn``,
     fits the requested trend, then scores mean squared prediction error on
     ``num_test_points`` uniform points in the bounds (drawn with ``seed``).
     Returns (mse, rmse).  ``test_points`` overrides the drawn unit-cube test
@@ -287,7 +286,6 @@ def evaluate_mse(
     before the fit.
     """
     x = as_design_matrix(design)
-    bounds_arr = normalize_bounds(bounds if bounds is not None else fn.bounds, x.shape[1])
     if test_points is None:
         if num_test_points < 1:
             raise ValueError("num_test_points must be >= 1")
@@ -299,9 +297,9 @@ def evaluate_mse(
     bad = np.count_nonzero(~np.isfinite(test_points))
     if bad:
         raise ValueError(f"test_points have {bad} non-finite value(s)")
-    y = np.asarray(fn(scale_design(x, bounds_arr)), dtype=float)
+    y = np.asarray(fn(scale_design(x, fn.bounds)), dtype=float)
     model = kriging_fit(x, y, basis)
-    y_true = np.asarray(fn(scale_design(test_points, bounds_arr)), dtype=float)
+    y_true = np.asarray(fn(scale_design(test_points, fn.bounds)), dtype=float)
     err = kriging_predict(model, test_points) - y_true
     mse = float(np.mean(err**2))
     return mse, float(np.sqrt(mse))

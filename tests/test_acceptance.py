@@ -173,7 +173,7 @@ def test_criterion_08_sampling_invariants():
             for seed in range(5):
                 x = lhs(n, s, seed)
                 strata = np.floor(n * x).astype(int) + 1
-                perms = lhd(n, s, seed).perms
+                perms = lhd(n, s, seed).levels
                 ok &= np.array_equal(strata, perms)
                 m = mlhs(n, s, seed)
                 lattice = (np.arange(1, n + 1) - 0.5) / n

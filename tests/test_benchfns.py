@@ -114,6 +114,12 @@ class TestScaleLattice:
         with pytest.raises(ValueError):
             scale_lattice(levels, (0.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [1.5, np.nan])
+    def test_plain_matrix_rejects_non_integer_levels(self, bad):
+        # a NaN level fails no range comparison, so it needs its own check
+        with pytest.raises(ValueError, match="levels must be integers"):
+            scale_lattice([[bad], [2], [3]], (0.0, 1.0), q=3)
+
     def test_plain_matrix_skips_balance_check(self):
         # published tables sometimes repeat a level; scaling must still work
         levels = np.array([[1, 2], [2, 2]])
