@@ -25,9 +25,10 @@ coordinate refiners run whole epochs inside the cache: ``gradient_sweep`` and
 a rejected visit by committing the old value again), ``preview_steps`` scores
 every fixed-step move in one pass, and ``gradient`` applies the one written-out
 partial derivative, ``_slope``, to every coordinate.  The kernel build,
-``gradient`` and ``preview_steps`` run in fixed row blocks and make no n x n
-temporaries.  The build computes each unordered pair of rows once and mirrors
-it, and its entries are still bit for bit those of whole-matrix products.
+``gradient`` and ``preview_steps`` run in 32-row blocks (``_BLOCK``), make no n x n
+temporaries and form f2 in five array operations (``_f2_rows``); ``gradient``
+weighs its pairs without ``np.sign``.  The build mirrors each unordered pair of
+rows, and every result is bit for bit that of whole-matrix products.
 """
 
 from __future__ import annotations
@@ -71,24 +72,27 @@ def _f2(u, au, w, aw):
     return 1.0 + 0.5 * (au + aw) - 0.5 * np.abs(u - w)
 
 
-# rows per block of the O(n^2 s) passes; at 2000x5 the mirrored kernel build
-# takes alike at 16 to 64 rows and 10-40% longer at 128 or 256
-_BLOCK = 64
+# rows per block of the O(n^2 s) passes; at 2000x5 the gradient takes 10% longer
+# at 64 rows than at 32, and at 27x13 ``preview_steps`` takes 1.8x as long at 16
+_BLOCK = 32
 
 
-def _f2_rows(out, tmp, u, au, w, aw, diff=None) -> None:
-    """Write f2(u_r, w_k) into ``out`` (len(u) x len(w)) in ``_f2``'s operation order.
+def _f2_rows(out, tmp, u, au, w, aw, one=1.0, diff=None) -> None:
+    """Write (one + (au_r + aw_k)) - |u_r - w_k| into ``out`` (len(u) x len(w)).
 
-    ``tmp`` is scratch; a ``diff`` array of the same shape also receives u_r - w_k.
+    On halved columns (u = x/2, au = |x - 1/2|/2) this is ``_f2`` bit for bit:
+    halving is exact for every a and for x >= 2^-1021, so au_r + aw_k and
+    u_r - w_k round to exactly half of the sum and difference ``_f2`` halves;
+    below 2^-1021 the error is far under half an ulp of the result (>= 1).  On
+    whole columns with one = 2 it is exactly 2 * f2.  ``tmp`` is scratch; a
+    ``diff`` array of the same shape also receives u_r - w_k.
     """
     np.add(au[:, None], aw, out=out)
-    out *= 0.5
-    out += 1.0
+    out += one
     if diff is None:
         diff = tmp
     np.subtract(u[:, None], w, out=diff)
     np.abs(diff, out=tmp)
-    tmp *= 0.5
     out -= tmp
 
 
@@ -103,7 +107,7 @@ def _kernel(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     and |u - w| == |w - u|), and the first factor is written as is (1 * f == f).
     """
     n = x.shape[0]
-    xt, at = x.T.copy(), a.T.copy()  # contiguous columns
+    xt, at = 0.5 * x.T.copy(), 0.5 * a.T.copy()  # contiguous halved columns
     kernel = np.empty((n, n))
     scratch = np.empty((3, min(_BLOCK, n) * n))
     for r0 in range(0, n, _BLOCK):
@@ -240,9 +244,11 @@ class DiscrepancyCache:
     few calls, and an unguarded sweep re-sums once per epoch (O(n^2));
     guarded CZG re-sums after every visit and undoes a rejected one by committing
     the old value again.  ``preview_steps`` (all 2ns fixed-step moves), the kernel
-    build and ``gradient`` (all ns derivatives) are O(n^2 s) passes in ``_BLOCK``-row
-    blocks with O(_BLOCK * n) scratch.  ``_swap_deltas`` scores K swaps in one O(Kn)
-    pass, to round-off of ``preview_column_swap``, for threshold accepting's screen.
+    build and ``gradient`` (all ns derivatives) are O(n^2 s) passes in ``_BLOCK`` = 32-row
+    blocks with O(32 n) scratch, f2 from halved columns (``_f2_rows``) and, in ``gradient``,
+    pair weights sgn(x_ij - 1/2) - copysign(1, x_ij - x_kj), ties reset.  ``_swap_deltas``
+    scores K swaps in one O(Kn) pass, to round-off of ``preview_column_swap``, for threshold
+    accepting's screen.
 
     Single-writer: concurrent mutation is not supported.
     """
@@ -337,7 +343,7 @@ class DiscrepancyCache:
         kernel, n = self._kernel, self.n
         targets, values = np.empty((2, n, self.s, 2))
         all_row_sums, all_diagonal = kernel.sum(axis=1), kernel.diagonal()
-        xt, at = self._x.T.copy(), self._a.T.copy()  # contiguous columns
+        xt, at = 0.5 * self._x.T.copy(), 0.5 * self._a.T.copy()  # contiguous halved columns
         loo, f2_new, tmp = np.empty((3, min(_BLOCK, n), n))
         for r0 in range(0, n, _BLOCK):
             rows, m = slice(r0, r0 + _BLOCK), min(_BLOCK, n - r0)
@@ -345,15 +351,15 @@ class DiscrepancyCache:
             lb, fb, tb, sums = loo[:m], f2_new[:m], tmp[:m], np.empty((2, m))
             fb_diagonal = fb.reshape(-1)[r0::n + 1]  # entries (r, r0 + r): a moved point with itself
             for j, (column, a_column) in enumerate(zip(xt, at)):
-                u, au = column[rows], a_column[rows]
+                u, au = self._x[rows, j], self._a[rows, j]
                 # leave-one-out kernel, over factors q != j
-                _f2_rows(lb, tb, u, au, column, a_column)
+                _f2_rows(lb, tb, column[rows], a_column[rows], column, a_column)
                 np.divide(kb, lb, out=lb)
                 v = np.clip(u + np.array([[steps[j]], [-steps[j]]]), 0.0, 1.0)  # rows: + and - moves
                 av = np.abs(v - 0.5)
                 g2_new = 1.0 + av
                 for d in range(2):
-                    _f2_rows(fb, tb, v[d], av[d], column, a_column)
+                    _f2_rows(fb, tb, 0.5 * v[d], 0.5 * av[d], column, a_column)
                     fb_diagonal[:] = g2_new[d]
                     sums[d] = np.einsum("ik,ik->i", lb, fb)
                 d_kernel = 2.0 * (sums - row_sums) - (lb[:, rows].diagonal() * g2_new - diagonal)
@@ -373,17 +379,21 @@ class DiscrepancyCache:
         xt, at = x.T.copy(), a.T.copy()  # contiguous columns
         sums = np.empty_like(x)
         loo, w, tmp = np.empty((3, min(_BLOCK, n), n))
+        ties = np.empty(loo.shape, dtype=bool)
         for r0 in range(0, n, _BLOCK):
             rows = slice(r0, r0 + _BLOCK)
             kernel = self._kernel[rows]
-            lb, wb, tb = loo[:len(kernel)], w[:len(kernel)], tmp[:len(kernel)]
+            lb, wb, tb, eb = (buffer[:len(kernel)] for buffer in (loo, w, tmp, ties))
             for j, (u, au) in enumerate(zip(xt, at)):
-                # lb = kernel / f2 and wb = sc/2 - sgn(x_ij - x_kj)/2 from f2's differences, in place
-                _f2_rows(lb, tb, u[rows], au[rows], u, au, diff=wb)
+                # lb = kernel / (2 f2) and wb = sc - sgn(x_ij - x_kj), half the leave-one-out
+                # kernel and twice the weight, so each product and the einsum's sums keep their bits
+                _f2_rows(lb, tb, u[rows], au[rows], u, au, one=2.0, diff=wb)
                 np.divide(kernel, lb, out=lb)
-                np.sign(wb, out=wb)
-                wb *= 0.5
-                np.subtract(0.5 * sc[rows, j, None], wb, out=wb)
+                np.equal(wb, 0.0, out=eb)  # ties, the diagonal among them: sgn 0, copysign 1
+                np.copysign(1.0, wb, out=wb)
+                sc_rows = sc[rows, j, None]
+                np.subtract(sc_rows, wb, out=wb)
+                np.copyto(wb, sc_rows, where=eb)
                 sums[rows, j] = np.einsum("ik,ik->i", lb, wb)
         pair = sums - p2 * 0.5 * sc
         return _slope(self._rp[:, None] / _f1(a), p2, sc, d, pair, n)

@@ -113,11 +113,20 @@ class TestGradient:
         assert np.array_equal(g1, g2)
 
 
+_EDGE_VALUES = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53,
+                1.0 - 2.0**-53, 1.0]
+
+
 def _kind_design(kind, n, s, rng):
     if kind == "random":
         return rng.random((n, s))
     if kind == "lattice":
         return (np.argsort(rng.random((n, s)), axis=0) + 0.5) / n
+    if kind == "subnormal":
+        # entries where halving a column is inexact (below 2^-1021) and the
+        # neighbours of 1/2 and 1, mixed with random values, some rows repeated
+        x = np.where(rng.random((n, s)) < 0.5, rng.choice(_EDGE_VALUES, (n, s)), rng.random((n, s)))
+        return x[rng.integers(0, n, n)]
     # kinks at 0.5, ties within columns and points on the boundary, where the
     # derivative takes its sgn(0) = 0 branches
     return rng.integers(0, 5, (n, s)) / 4
@@ -129,7 +138,7 @@ _SHAPES = [(1, 1), (1, 4), (3, 1), (2, 3), (5, 2), (9, 4), (18, 7), (27, 13)]
 class TestOneDerivative:
     """The cache's gradient and zero-gradient paths equal the oracles bit for bit."""
 
-    @pytest.mark.parametrize("kind", ["random", "lattice", "kinks"])
+    @pytest.mark.parametrize("kind", ["random", "lattice", "kinks", "subnormal"])
     def test_gradient_matches_reference_bit_for_bit(self, kind):
         rng = np.random.default_rng(21)
         for n, s in _SHAPES:
@@ -138,7 +147,7 @@ class TestOneDerivative:
             cache = DiscrepancyCache(x)
             assert cache.gradient().tobytes() == cd2_gradient_reference(x).tobytes()
 
-    @pytest.mark.parametrize("kind", ["random", "lattice", "kinks"])
+    @pytest.mark.parametrize("kind", ["random", "lattice", "kinks", "subnormal"])
     def test_zero_gradient_matches_reference_bit_for_bit(self, kind):
         rng = np.random.default_rng(22)
         for n, s in _SHAPES:
@@ -181,7 +190,7 @@ class TestOneDerivative:
 class TestRowBlocks:
     """The row-blocked kernel build and gradient pass equal whole-matrix references."""
 
-    @pytest.mark.parametrize("kind", ["random", "lattice", "kinks"])
+    @pytest.mark.parametrize("kind", ["random", "lattice", "kinks", "subnormal"])
     @pytest.mark.parametrize(
         "n, s",
         [(n, 3) for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 2 * _BLOCK + 3)]
@@ -218,6 +227,21 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 8 * n * n
+
+    @pytest.mark.parametrize("method", ["gradient", "preview_steps"])
+    def test_pass_scratch_is_a_few_blocks(self, method):
+        # beyond the cache's own kernel, a pass holds a few _BLOCK x n buffers
+        # and O(ns) arrays; one n x n temporary (8 n^2 bytes) is several times this bound
+        n, s = 1000, 3
+        cache = DiscrepancyCache(random_design(n, s, seed=4))
+        args = ([0.01, 0.02, 0.03],) if method == "preview_steps" else ()
+        tracemalloc.start()
+        try:
+            getattr(cache, method)(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (4 * _BLOCK * n + 16 * n * s)
 
 
 def assert_matches_fresh(cache: DiscrepancyCache, rel: float = 1e-12) -> None:
@@ -436,7 +460,7 @@ class TestPreviewSteps:
                         exact = cache.preview_update(i, j, v)
                         assert abs(values[i, j, d] - exact) <= 1e-14 * cache.term_scale
 
-    @pytest.mark.parametrize("kind", ["random", "lattice", "kinks"])
+    @pytest.mark.parametrize("kind", ["random", "lattice", "kinks", "subnormal"])
     @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
     def test_row_blocks_match_whole_matrix_reference_bit_for_bit(self, kind, n):
         rng = np.random.default_rng(n)
