@@ -16,6 +16,10 @@ positive definite while preserving near-interpolation.
 A fit builds the n x n x s squared differences once; one likelihood evaluation
 is then O(n^2 s + n^3) arithmetic on them through direct LAPACK calls, and
 theta that clip to scales already solved are served from a per-fit memo.
+
+SciPy supplies those LAPACK routines and the Nelder-Mead search.  It is imported
+at the first fit, not with this module, so that importing the package and the
+``construct``, ``evaluate`` and ``sample`` commands load numpy alone.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-from scipy.optimize import minimize
 
 from .benchfns import TestFunction, scale_design
 from .discrepancy import as_design_matrix
@@ -47,7 +49,20 @@ DEFAULT_NUGGET = 1e-10
 DEFAULT_THETA_BOUNDS = (1e-2, 1e2)
 _MULTISTARTS = 8
 
-_POTRF, _TRTRS, _GEQRF, _ORGQR = get_lapack_funcs(("potrf", "trtrs", "geqrf", "orgqr"), dtype=float)
+
+@functools.cache
+def _lapack_funcs() -> tuple:
+    """potrf, trtrs, geqrf and orgqr for doubles, looked up at the first fit."""
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs(("potrf", "trtrs", "geqrf", "orgqr"), dtype=float)
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported at its first call.  It stays an
+    attribute of this module, which ``kriging_fit`` looks up at each search, so
+    the theta search can be wrapped or traced as ``unidesign.surrogate.minimize``."""
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
 
 
 def basis_matrix(points: np.ndarray, basis: str) -> np.ndarray:
@@ -82,8 +97,9 @@ def _lapack(routine, *args, **kwargs) -> list:
 @functools.lru_cache(maxsize=64)
 def _qr_lwork(m: int, k: int) -> tuple[int, int]:
     """geqrf and orgqr workspaces from LAPACK's query, as scipy.linalg.qr sizes them."""
+    geqrf, orgqr = _lapack_funcs()[2:]
     a = np.zeros((m, k), order="F")
-    return int(_GEQRF(a, lwork=-1)[2][0]), int(_ORGQR(a, np.zeros(k), lwork=-1)[1][0])
+    return int(geqrf(a, lwork=-1)[2][0]), int(orgqr(a, np.zeros(k), lwork=-1)[1][0])
 
 
 @dataclass
@@ -114,18 +130,19 @@ def _profiled_fit(d2, y, f, theta, nugget):
     """GLS solve for fixed theta on squared differences ``d2``; returns the
     parameters and the profiled NLL, bit for bit those of scipy.linalg's
     cholesky, solve_triangular and economic qr."""
+    potrf, trtrs, geqrf, orgqr = _lapack_funcs()
     n, k = f.shape
     r = np.exp(-(d2 @ theta))
     r.reshape(-1)[:: n + 1] += nugget
-    [chol_l] = _lapack(_POTRF, r, lower=1, clean=1)
-    [ft] = _lapack(_TRTRS, chol_l, f, lower=1)
-    [yt] = _lapack(_TRTRS, chol_l, y, lower=1)
+    [chol_l] = _lapack(potrf, r, lower=1, clean=1)
+    [ft] = _lapack(trtrs, chol_l, f, lower=1)
+    [yt] = _lapack(trtrs, chol_l, y, lower=1)
     lwork_qr, lwork_q = _qr_lwork(n, k)
-    qr, tau, _ = _lapack(_GEQRF, ft, lwork=lwork_qr)
+    qr, tau, _ = _lapack(geqrf, ft, lwork=lwork_qr)
     g = qr[:k].copy()  # R on and above the diagonal; orgqr overwrites qr
-    q, _ = _lapack(_ORGQR, qr, tau, lwork=lwork_q, overwrite_a=1)
+    q, _ = _lapack(orgqr, qr, tau, lwork=lwork_q, overwrite_a=1)
     # as solve_triangular(g, b) does for C-ordered g; trtrs reads only g's upper triangle
-    [beta] = _lapack(_TRTRS, g.T, q.T @ yt, lower=1, trans=1)
+    [beta] = _lapack(trtrs, g.T, q.T @ yt, lower=1, trans=1)
     rho = yt - ft @ beta
     sigma2 = float(rho @ rho) / n
     logdet = 2.0 * float(np.log(chol_l.diagonal()).sum())
@@ -228,7 +245,7 @@ def kriging_fit(
         theta = np.exp(best_log_theta)
     chol_l, beta, rho, sigma2, nll = _profiled_fit(d2, y, f, theta, nugget)
     # gamma solves R gamma = y - F beta, as solve_triangular(chol_l.T, rho) does
-    [gamma] = _lapack(_TRTRS, chol_l, rho, lower=1, trans=1)
+    [gamma] = _lapack(_lapack_funcs()[1], chol_l, rho, lower=1, trans=1)
     return KrigingModel(
         x_train=x.copy(),
         y_train=y.copy(),
