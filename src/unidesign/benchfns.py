@@ -91,14 +91,14 @@ def get_test_function(name: str, dim: int | None = None) -> TestFunction:
 
 
 def normalize_bounds(bounds, s: int) -> np.ndarray:
-    """Bounds as an (s, 2) array; accepts one (a, b) pair or one per column."""
+    """Bounds as an (s, 2) array; accepts one finite (a, b) pair with a < b or one per column."""
     arr = np.asarray(bounds, dtype=float)
     if arr.shape == (2,):
         arr = np.tile(arr, (s, 1))
     if arr.shape != (s, 2):
         raise ValueError(f"bounds must be one (a, b) pair or {s} pairs, got shape {arr.shape}")
-    if np.any(arr[:, 0] >= arr[:, 1]):
-        raise ValueError("each bound must satisfy a < b")
+    if not (np.all(np.isfinite(arr)) and np.all(arr[:, 0] < arr[:, 1])):
+        raise ValueError("each bound must be finite and satisfy a < b")
     return arr
 
 

@@ -13,20 +13,21 @@ with the two kernels
 Both kernels are >= 1 everywhere on [0,1], which keeps every divide in the
 incremental paths well conditioned.
 
-``DiscrepancyCache`` stores the per-row f1 products and the full pairwise f2
-kernel so that changing one coordinate re-evaluates CD2 after recomputing a
-single kernel row/column.  Preview methods score a candidate change without
-mutating the cache.  A coordinate update recomputes the affected entries from
-the design values and re-sums, so it never drifts from a from-scratch
-evaluation; a column swap is committed in O(n) by rescaling two kernel rows,
-and ``resum`` clears the round-off such commits leave in the sums.  The
-coordinate refiners run whole epochs inside the cache: ``gradient_sweep`` and
-``zero_gradient_sweep`` are row-blocked Gauss-Seidel passes (guarded CZG undoes
-a rejected visit by committing the old value again), ``preview_steps`` scores
-every fixed-step move in one pass, and ``gradient`` applies the one written-out
-partial derivative, ``_slope``, to every coordinate.  The kernel build,
-``gradient`` and ``preview_steps`` run in 32-row blocks (``_BLOCK``), make no n x n
-temporaries and form f2 in five array operations (``_f2_rows``); ``gradient``
+``DiscrepancyCache`` holds the design column by column (s x n), the per-row f1
+products and the full pairwise f2 kernel so that changing one coordinate
+re-evaluates CD2 after recomputing a single kernel row/column.  Preview methods
+score a candidate change without mutating the cache.  One function, ``_moved_row``,
+rebuilds a moved coordinate's kernel row from the design for ``update``,
+``preview_update`` and both sweeps, so a move never drifts from a from-scratch
+evaluation; a column swap is committed in O(n) by rescaling two kernel rows, and
+``resum`` clears the round-off such commits leave in the sums.  The coordinate
+refiners run whole epochs inside the cache: ``gradient_sweep`` and
+``zero_gradient_sweep`` are row-blocked Gauss-Seidel passes (guarded CZG undoes a
+rejected visit by committing the old value again), ``preview_steps`` scores every
+fixed-step move in one pass, and ``gradient`` applies the one written-out partial
+derivative, ``_slope``, to every coordinate.  The kernel build, ``gradient`` and
+``preview_steps`` run over contiguous columns in 32-row blocks (``_BLOCK``), make no
+n x n temporaries and form f2 in five array operations (``_f2_rows``); ``gradient``
 weighs its pairs without ``np.sign``.  The build mirrors each unordered pair of
 rows, and every result is bit for bit that of whole-matrix products.
 """
@@ -96,18 +97,18 @@ def _f2_rows(out, tmp, u, au, w, aw, one=1.0, diff=None) -> None:
     out -= tmp
 
 
-def _kernel(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _kernel(xt: np.ndarray, at: np.ndarray) -> np.ndarray:
     """The n x n pairwise kernel, entry (i, l) = prod_k f2(x_ik, x_lk), in row blocks.
 
-    Each unordered pair is computed once and mirrored: a block of rows
-    r0..r0+m-1 takes only columns r0..n-1, in a contiguous m x (n - r0)
-    buffer, and its part right of the block is copied into the rows below it.
-    The entries are still bit for bit those of whole-matrix products, factor
-    by factor in k order: f2 is symmetric in IEEE arithmetic (a + b == b + a
-    and |u - w| == |w - u|), and the first factor is written as is (1 * f == f).
+    From the s x n columns of x and |x - 1/2|.  Each unordered pair is computed once and
+    mirrored: a block of rows r0..r0+m-1 takes only columns r0..n-1, in a contiguous
+    m x (n - r0) buffer, and its part right of the block is copied into the rows below it.
+    The entries are still bit for bit those of whole-matrix products, factor by factor in
+    k order: f2 is symmetric in IEEE arithmetic (a + b == b + a and |u - w| == |w - u|),
+    and the first factor is written as is (1 * f == f).
     """
-    n = x.shape[0]
-    xt, at = 0.5 * x.T.copy(), 0.5 * a.T.copy()  # contiguous halved columns
+    n = xt.shape[1]
+    xt, at = 0.5 * xt, 0.5 * at  # halved columns
     kernel = np.empty((n, n))
     scratch = np.empty((3, min(_BLOCK, n) * n))
     for r0 in range(0, n, _BLOCK):
@@ -123,15 +124,20 @@ def _kernel(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return kernel
 
 
-def _kernel_row(x: np.ndarray, a: np.ndarray, i: int, j: int, value: float):
-    """f1 product and kernel row of row i with x_ij = value (O(ns))."""
-    xi = x[i].copy()
-    xi[j] = value
-    ai = np.abs(xi - 0.5)
-    row = np.prod(_f2(xi[None, :], ai[None, :], x, a), axis=1)
-    # the diagonal pairs the new row with itself, not with the old x[i]
-    row[i] = np.prod(1.0 + ai)
-    return float(np.prod(_f1(ai))), row
+def _moved_row(factors, xt: np.ndarray, at: np.ndarray, i: int, j: int, value: float):
+    """f1 product and kernel row of row i with x_ij = value (O(ns)).
+
+    ``factors`` are row i's ``DiscrepancyCache._row_factors``; their entries for
+    coordinate j are set to those of ``value``.
+    """
+    f2_t, f1_row, g2_row = factors
+    aij = abs(value - 0.5)
+    f1_row[j], g2_row[j] = _f1(aij), 1.0 + aij
+    f2_t[j] = _f2(value, aij, xt[j], at[j])
+    row = f2_t.prod(axis=0)
+    # the diagonal pairs the moved row with itself, not with the old x_i
+    row[i] = g2_row.prod()
+    return f1_row.prod(), row
 
 
 def _loo_terms(rp_i: float, f1_ij: float, g2_prod: float, g2_ij: float,
@@ -226,16 +232,16 @@ def cd2_gradient(design) -> np.ndarray:
 class DiscrepancyCache:
     """Cached CD2 state for single-coordinate re-evaluation.
 
-    Holds the design, its per-row f1 products, the symmetric pairwise f2
-    kernel and the current CD2 value.  ``update`` commits a coordinate change
-    by recomputing the affected kernel row/column from the design (no
-    multiplicative deltas, so repeated updates cannot drift); it costs O(ns)
-    for the row plus O(n^2) to re-sum the kernel.  The ``preview_*`` methods
-    score candidate changes in O(n) / O(ns) without mutating any state.
-    ``apply_column_swap`` commits a swap in O(n) from its preview's terms and
-    returns exactly the previewed value; its sums carry round-off from one
-    commit to the next, which ``resum`` (O(n^2) additions) clears.
-    Threshold accepting calls ``resum`` at the end of every stage.
+    Holds the design column by column (s x n, beside |x - 1/2|), its per-row
+    f1 products, the symmetric pairwise f2 kernel and the current CD2 value.
+    ``_commit`` is the one writer of a coordinate move, and ``_moved_row`` the
+    one builder of a moved kernel row, from the design (no multiplicative
+    deltas, so repeated updates cannot drift).  ``update`` is a commit, O(ns),
+    plus an O(n^2) re-sum.  The ``preview_*`` methods score candidate changes in
+    O(n) / O(ns) without mutating any state.  ``apply_column_swap`` commits a
+    swap in O(n) from its preview's terms and returns exactly the previewed
+    value; its sums carry round-off from one commit to the next, which ``resum``
+    (O(n^2) additions) clears.  Threshold accepting calls ``resum`` at the end of every stage.
 
     ``gradient_sweep`` and ``zero_gradient_sweep`` run one refiner epoch and
     leave every array and value exactly as one ``coordinate_gradient`` or
@@ -254,15 +260,12 @@ class DiscrepancyCache:
     """
 
     def __init__(self, design):
-        x = as_design_matrix(design).copy()
-        n, s = x.shape
-        self._x = x
-        self._a = np.abs(x - 0.5)
-        self.n = n
-        self.s = s
-        self._const = (13.0 / 12.0) ** s
-        self._rp = np.prod(_f1(self._a), axis=1)
-        self._kernel = _kernel(x, self._a)
+        self._xt = xt = as_design_matrix(design).T.copy()
+        self._at = np.abs(xt - 0.5)
+        self.s, self.n = xt.shape
+        self._const = (13.0 / 12.0) ** self.s
+        self._rp = np.prod(_f1(self._at), axis=0)
+        self._kernel = _kernel(xt, self._at)
         # (r1, r2, col) and _swap_terms of the last swap preview, while the
         # design has not changed since
         self._previewed = None, None
@@ -274,7 +277,7 @@ class DiscrepancyCache:
     @property
     def design(self) -> np.ndarray:
         """Copy of the current design."""
-        return self._x.copy()
+        return self._xt.T.copy()
 
     @property
     def row_products(self) -> np.ndarray:
@@ -291,7 +294,7 @@ class DiscrepancyCache:
 
     def value_at(self, i: int, j: int) -> float:
         self._check_index(i, j)
-        return float(self._x[i, j])
+        return float(self._xt[j, i])
 
     def _check_index(self, i: int, j: int) -> None:
         if not (0 <= i < self.n and 0 <= j < self.s):
@@ -299,29 +302,44 @@ class DiscrepancyCache:
                 f"coordinate ({i}, {j}) out of range for a {self.n}x{self.s} design"
             )
 
+    def _check_swap(self, r1: int, r2: int, col: int) -> None:
+        if not (0 <= r1 < self.n and 0 <= r2 < self.n and 0 <= col < self.s):
+            raise IndexError(f"swap ({r1}, {r2}, {col}) outside a {self.n}x{self.s} design")
+
     def _check_update(self, i: int, j: int, value: float) -> None:
         self._check_index(i, j)
         if not (0.0 <= value <= 1.0):
             raise ValueError(f"new value {value!r} outside [0, 1]")
 
+    def _row_factors(self, i: int):
+        """Row i's s x n factors f2(x_ij, x_kj), its f1 factors and its 1 + |x_ij - 1/2| (O(ns))."""
+        xt, at = self._xt, self._at
+        return _f2(xt[:, i, None], at[:, i, None], xt, at), _f1(at[:, i]), 1.0 + at[:, i]
+
+    def _commit(self, i: int, j: int, value: float, factors) -> None:
+        """Set x_ij = value and rewrite row i's f1 product and kernel row/column (O(ns)).
+
+        The one writer of a coordinate move, so the one place that drops the swap-preview
+        memo; the sums are left to the caller.
+        """
+        self._previewed = None, None
+        self._xt[j, i] = value
+        self._at[j, i] = abs(value - 0.5)
+        self._rp[i], row = _moved_row(factors, self._xt, self._at, i, j, value)
+        self._kernel[i] = self._kernel[:, i] = row
+
     def update(self, i: int, j: int, value: float) -> float:
         """Set x_ij = value, refresh the affected cache entries, return CD2."""
         self._check_update(i, j, value)
-        self._previewed = None, None
-        self._x[i, j] = value
-        self._a[i, j] = abs(value - 0.5)
-        rp, row = _kernel_row(self._x, self._a, i, j, value)
-        self._rp[i] = rp
-        self._kernel[i, :] = row
-        self._kernel[:, i] = row
+        self._commit(i, j, value, self._row_factors(i))
         return self.resum()
 
     def preview_update(self, i: int, j: int, value: float) -> float:
         """CD2 the design would have with x_ij = value; no state change."""
         self._check_update(i, j, value)
-        if value == self._x[i, j]:
+        if value == self._xt[j, i]:
             return self.cd2
-        rp, row = _kernel_row(self._x, self._a, i, j, value)
+        rp, row = _moved_row(self._row_factors(i), self._xt, self._at, i, j, value)
         old_row = self._kernel[i]
         d_rp = rp - self._rp[i]
         d_kernel = 2.0 * float(row.sum() - old_row.sum()) - (row[i] - old_row[i])
@@ -343,7 +361,7 @@ class DiscrepancyCache:
         kernel, n = self._kernel, self.n
         targets, values = np.empty((2, n, self.s, 2))
         all_row_sums, all_diagonal = kernel.sum(axis=1), kernel.diagonal()
-        xt, at = 0.5 * self._x.T.copy(), 0.5 * self._a.T.copy()  # contiguous halved columns
+        xt, at = 0.5 * self._xt, 0.5 * self._at  # halved columns
         loo, f2_new, tmp = np.empty((3, min(_BLOCK, n), n))
         for r0 in range(0, n, _BLOCK):
             rows, m = slice(r0, r0 + _BLOCK), min(_BLOCK, n - r0)
@@ -351,7 +369,7 @@ class DiscrepancyCache:
             lb, fb, tb, sums = loo[:m], f2_new[:m], tmp[:m], np.empty((2, m))
             fb_diagonal = fb.reshape(-1)[r0::n + 1]  # entries (r, r0 + r): a moved point with itself
             for j, (column, a_column) in enumerate(zip(xt, at)):
-                u, au = self._x[rows, j], self._a[rows, j]
+                u, au = self._xt[j, rows], self._at[j, rows]
                 # leave-one-out kernel, over factors q != j
                 _f2_rows(lb, tb, column[rows], a_column[rows], column, a_column)
                 np.divide(kb, lb, out=lb)
@@ -371,13 +389,12 @@ class DiscrepancyCache:
 
     def gradient(self) -> np.ndarray:
         """The gradient matrix of CD2 at the cached design (O(n^2 s)); see ``cd2_gradient``."""
-        x, a, n = self._x, self._a, self.n
-        d = x - 0.5
+        xt, at, n = self._xt, self._at, self.n
+        d = xt - 0.5
         sc = np.sign(d)
-        g2 = 1.0 + a
-        p2 = np.prod(g2, axis=1, keepdims=True) / g2
-        xt, at = x.T.copy(), a.T.copy()  # contiguous columns
-        sums = np.empty_like(x)
+        g2 = 1.0 + at
+        p2 = np.prod(g2, axis=0) / g2
+        sums = np.empty_like(xt)
         loo, w, tmp = np.empty((3, min(_BLOCK, n), n))
         ties = np.empty(loo.shape, dtype=bool)
         for r0 in range(0, n, _BLOCK):
@@ -391,12 +408,12 @@ class DiscrepancyCache:
                 np.divide(kernel, lb, out=lb)
                 np.equal(wb, 0.0, out=eb)  # ties, the diagonal among them: sgn 0, copysign 1
                 np.copysign(1.0, wb, out=wb)
-                sc_rows = sc[rows, j, None]
+                sc_rows = sc[j, rows, None]
                 np.subtract(sc_rows, wb, out=wb)
                 np.copyto(wb, sc_rows, where=eb)
-                sums[rows, j] = np.einsum("ik,ik->i", lb, wb)
+                sums[j, rows] = np.einsum("ik,ik->i", lb, wb)
         pair = sums - p2 * 0.5 * sc
-        return _slope(self._rp[:, None] / _f1(a), p2, sc, d, pair, n)
+        return _slope(self._rp / _f1(at), p2, sc, d, pair, n).T.copy()
 
     def _swap_terms(self, r1: int, r2: int, col: int):
         """Sum deltas and f2 ratio vectors of exchanging x_{r1,col} and x_{r2,col}.
@@ -408,18 +425,17 @@ class DiscrepancyCache:
         f2(v, x_kcol)/f2(u, x_kcol) and their inverses that rescale kernel rows
         r1 and r2.  O(n); every f1 and f2 value is >= 1.
         """
-        x, a, kernel = self._x, self._a, self._kernel
-        u, v = x.item(r1, col), x.item(r2, col)
+        w, aw, kernel = self._xt[col], self._at[col], self._kernel
+        u, v = w.item(r1), w.item(r2)
         if u == v:
             return None
-        au, av = a.item(r1, col), a.item(r2, col)
+        au, av = aw.item(r1), aw.item(r2)
         f1_ratio = _f1(av) / _f1(au)
         rp = self._rp
         d_rp = rp.item(r1) * (f1_ratio - 1.0) + rp.item(r2) * (1.0 / f1_ratio - 1.0)
 
         # the ratios are taken of 2 * f2, which needs fewer array operations
-        w = x[:, col]
-        aw2 = a[:, col] + 2.0
+        aw2 = aw + 2.0
         f2_u = (aw2 + au) - np.abs(w - u)
         f2_v = (aw2 + av) - np.abs(w - v)
         ratio = f2_v / f2_u
@@ -442,11 +458,11 @@ class DiscrepancyCache:
         ``_swap_terms`` on K x 2 x n arrays in another summation order: ``preview_column_swap(...)
         - cd2`` to ~1e-16 * ``term_scale``, and exactly 0 for u == v.  No state change.
         """
-        x, a, kernel, n, c = self._x, self._a, self._kernel, self.n, cols[:, None]
+        xt, at, kernel, n, c = self._xt, self._at, self._kernel, self.n, cols[:, None]
         rows = np.stack([rows1, rows2], axis=1)
-        xs, axs = x.take(rows * self.s + c), a.take(rows * self.s + c)  # u, v and their |. - 1/2|
+        xs, axs = xt.take(c * n + rows), at.take(c * n + rows)  # u, v and their |. - 1/2|
         # 2 * f2 of u (first) and of v with each point of the column, in place
-        f2, terms = a.T[c] + (axs + 2.0)[..., None], x.T[c] - xs[..., None]
+        f2, terms = at[c] + (axs + 2.0)[..., None], xt[c] - xs[..., None]
         f2 -= np.abs(terms, out=terms)
         # rows r1, r2 scale by f2(v, .)/f2(u, .) and its inverse, but for entry (r1, r2) and the diagonal
         np.divide(f2[:, ::-1], f2, out=terms)
@@ -460,6 +476,7 @@ class DiscrepancyCache:
 
     def preview_column_swap(self, r1: int, r2: int, col: int) -> float:
         """CD2 after exchanging x_{r1,col} and x_{r2,col}; no state change (O(n))."""
+        self._check_swap(r1, r2, col)
         terms = self._swap_terms(r1, r2, col)
         self._previewed = (r1, r2, col), terms
         if terms is None:
@@ -477,15 +494,16 @@ class DiscrepancyCache:
         """
         key, terms = self._previewed
         if key != (r1, r2, col):
+            self._check_swap(r1, r2, col)
             terms = self._swap_terms(r1, r2, col)
         self._previewed = None, None
         if terms is None:
             return self.cd2
         d_rp, d_kernel, f1_ratio, g_ratio, ratio, inv = terms
-        x, a, kernel = self._x, self._a, self._kernel
+        w, aw, kernel = self._xt[col], self._at[col], self._kernel
         k11, k22, k12 = kernel[r1, r1], kernel[r2, r2], kernel[r1, r2]
-        x[r1, col], x[r2, col] = x[r2, col], x[r1, col]
-        a[r1, col], a[r2, col] = a[r2, col], a[r1, col]
+        w[r1], w[r2] = w[r2], w[r1]
+        aw[r1], aw[r2] = aw[r2], aw[r1]
         self._rp[r1] *= f1_ratio
         self._rp[r2] /= f1_ratio
         kernel[r1] *= ratio
@@ -514,11 +532,11 @@ class DiscrepancyCache:
     def _visit_terms(self, i: int, j: int):
         """x_ij, column j and the leave-one-out terms at (i, j) (O(n + s))."""
         self._check_index(i, j)
-        x, a = self._x, self._a
-        g2_row = 1.0 + a[i]
-        terms = _loo_terms(self._rp[i], _f1(a[i, j]), g2_row.prod(), g2_row[j], self._kernel[i],
-                           _f2(x[i, j], a[i, j], x[:, j], a[:, j]))
-        return (x[i, j], x[:, j], *terms)
+        column, a_column, g2_row = self._xt[j], self._at[j], 1.0 + self._at[:, i]
+        u, au = column[i], a_column[i]
+        terms = _loo_terms(self._rp[i], _f1(au), g2_row.prod(), g2_row[j], self._kernel[i],
+                           _f2(u, au, column, a_column))
+        return (u, column, *terms)
 
     def coordinate_gradient(self, i: int, j: int) -> float:
         """dCD2/dx_ij at the cached design (O(n + s))."""
@@ -564,42 +582,23 @@ class DiscrepancyCache:
     def _sweep(self, rule, guarded: bool = False) -> float:
         """Row-blocked Gauss-Seidel pass: x_ij = rule(*self._visit_terms(i, j)) at every (i, j).
 
-        When the pass reaches row i it builds the row's s x n f2 factors and
-        its f1 and (1 + |x - 1/2|) factors once.  A visit divides the kernel
-        row by one factor row, and a commit replaces that factor row and the
-        two factors and takes the products again: O(ns) elementwise work in a
-        few numpy calls, leaving every array exactly as ``update`` would.  An
-        unguarded pass re-sums once at the end (O(n^2)); a guarded one
-        re-sums after every visit, because it compares CD2 there, and undoes
-        a rejected visit by committing the old value again and restoring the
-        three sums.
+        Builds row i's ``_row_factors`` once; a visit divides the kernel row by one
+        factor row, and ``_commit`` writes the move from them as ``update`` does: O(ns)
+        elementwise work in a few numpy calls.  An unguarded pass re-sums once at the
+        end (O(n^2)); a guarded one re-sums after every visit, because it compares CD2
+        there, and undoes a rejected visit by committing the old value again and
+        restoring the three sums.
         """
-        self._previewed = None, None
-        x, a, kernel, rp = self._x, self._a, self._kernel, self._rp
-        # column-major copies, so that every column read below is contiguous
-        xt, at = x.T.copy(), a.T.copy()
-
-        def commit(i, j, value):
-            x[i, j] = xt[j, i] = value
-            a[i, j] = at[j, i] = aij = abs(value - 0.5)
-            f1_row[j], g2_row[j] = _f1(aij), 1.0 + aij
-            f2_t[j] = _f2(value, aij, xt[j], at[j])
-            row = f2_t.prod(axis=0)
-            # the diagonal pairs the new row with itself
-            row[i] = g2_prod = g2_row.prod()
-            rp[i] = f1_row.prod()
-            kernel[i] = kernel[:, i] = row
-            return g2_prod
-
+        xt, kernel, rp = self._xt, self._kernel, self._rp
         for i in range(self.n):
-            f2_t = _f2(x[i, :, None], a[i, :, None], xt, at)  # f2_t[j, k] = f2(x_ij, x_kj)
-            f1_row, g2_row = _f1(a[i]), 1.0 + a[i]
+            factors = f2_t, f1_row, g2_row = self._row_factors(i)
             g2_prod = g2_row.prod()
             for j in range(self.s):
                 terms = _loo_terms(rp[i], f1_row[j], g2_prod, g2_row[j], kernel[i], f2_t[j])
-                old, sums = x[i, j], (self._sum_rp, self._sum_kernel, self.cd2)
-                g2_prod = commit(i, j, rule(old, xt[j], *terms))
+                old, sums = xt[j, i], (self._sum_rp, self._sum_kernel, self.cd2)
+                self._commit(i, j, rule(old, xt[j], *terms), factors)
                 if guarded and self.resum() > sums[-1]:
-                    g2_prod = commit(i, j, old)
+                    self._commit(i, j, old, factors)
                     self._sum_rp, self._sum_kernel, self.cd2 = sums
+                g2_prod = kernel[i, i]  # the commit's g2_row.prod()
         return self.resum()

@@ -24,9 +24,19 @@ from scipy.optimize import minimize
 
 from unidesign import (DiscrepancyCache, KrigingModel, OptimizationTrace, RefinerConfig, TaResult,
                        UTypeDesign, basis_matrix, cd2, embed, random_utype)
-from unidesign.discrepancy import _f1, _f2, as_design_matrix
+from unidesign.discrepancy import as_design_matrix
 from unidesign.lattice import _draw_swap, _draw_swaps
 from unidesign.surrogate import DEFAULT_NUGGET, DEFAULT_THETA_BOUNDS
+
+
+def _f1(a):
+    """f1 from a = |x - 1/2|, written out as in the CD2 formula; broadcasts."""
+    return 1.0 + 0.5 * a - 0.5 * a * a
+
+
+def _f2(u, au, w, aw):
+    """f2(u, w) from the points and their distances to 1/2, written out; broadcasts."""
+    return 1.0 + 0.5 * (au + aw) - 0.5 * np.abs(u - w)
 
 
 def cd2_reference(design) -> float:
@@ -131,7 +141,8 @@ def cd2_gradient_reference(design) -> np.ndarray:
 def preview_steps_reference(cache, steps):
     """``DiscrepancyCache.preview_steps`` from whole n x n temporaries, column by column."""
     steps = np.asarray(steps, dtype=float)
-    x, a, kernel, rp = cache._x, cache._a, cache._kernel, cache._rp
+    x, kernel, rp = cache.design, cache._kernel, cache._rp
+    a = np.abs(x - 0.5)
     targets = np.empty((cache.n, cache.s, 2))
     values = np.empty((cache.n, cache.s, 2))
     row_sums = kernel.sum(axis=1)

@@ -81,11 +81,12 @@ class TestScaleDesign:
         out = scale_design(x, [(-1.0, 1.0), (10.0, 20.0)])
         assert out.tolist() == [[-1.0, 20.0]]
 
-    def test_degenerate_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            scale_design(np.array([[0.5]]), (1.0, 1.0))
-        with pytest.raises(ValueError):
-            scale_design(np.array([[0.5]]), (2.0, -2.0))
+    @pytest.mark.parametrize("bounds", [
+        (1.0, 1.0), (2.0, -2.0), (np.nan, 1.0), (0.0, np.inf), [(-np.inf, 1.0), (0.0, 1.0)],
+    ])
+    def test_degenerate_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            scale_design(np.array([[0.25, 0.5]]), bounds)
 
 
 class TestScaleLattice:

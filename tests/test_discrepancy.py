@@ -179,12 +179,14 @@ class TestOneDerivative:
     def test_per_visit_methods_check_indices(self, i, j):
         x = random_design(4, 3, seed=3)
         cache = DiscrepancyCache(x)
-        with pytest.raises(IndexError):
-            cache.value_at(i, j)
-        with pytest.raises(IndexError):
-            cache.coordinate_gradient(i, j)
-        with pytest.raises(IndexError):
-            cache.zero_gradient_value(i, j)
+        before = _state(cache)
+        for call in (lambda: cache.value_at(i, j), lambda: cache.coordinate_gradient(i, j),
+                     lambda: cache.zero_gradient_value(i, j),
+                     lambda: cache.preview_column_swap(i, 1, j),
+                     lambda: cache.apply_column_swap(1, i, j)):
+            with pytest.raises(IndexError):
+                call()
+            assert _state(cache) == before
 
 
 class TestRowBlocks:
@@ -363,14 +365,19 @@ class TestCache:
         cache.apply_column_swap(1, 6, 2)
         assert_matches_fresh(cache)
 
-    def test_swap_commit_after_update_ignores_stale_preview(self):
-        x = random_design(8, 3, seed=13)
-        cache = DiscrepancyCache(x)
+    @pytest.mark.parametrize("mutate", [
+        lambda cache: cache.update(2, 1, 0.0625),
+        lambda cache: cache.gradient_sweep(0.05),
+        lambda cache: cache.zero_gradient_sweep(),
+        lambda cache: cache.zero_gradient_sweep(guarded=True),
+    ], ids=["update", "gradient_sweep", "zero_gradient_sweep", "guarded_zero_gradient_sweep"])
+    def test_swap_commit_after_update_ignores_stale_preview(self, mutate):
+        cache = DiscrepancyCache(random_design(8, 3, seed=13))
         cache.preview_column_swap(2, 5, 1)
-        cache.update(2, 1, 0.0625)
+        mutate(cache)
+        x = cache.design
+        x[[2, 5], 1] = x[[5, 2], 1]
         cache.apply_column_swap(2, 5, 1)
-        x[2, 1] = x[5, 1]
-        x[5, 1] = 0.0625
         assert np.array_equal(cache.design, x)
         assert_matches_fresh(cache)
 
