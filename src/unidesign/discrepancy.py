@@ -23,13 +23,15 @@ evaluation; a column swap is committed in O(n) by rescaling two kernel rows, and
 ``resum`` clears the round-off such commits leave in the sums.  The coordinate
 refiners run whole epochs inside the cache: ``gradient_sweep`` and
 ``zero_gradient_sweep`` are row-blocked Gauss-Seidel passes (guarded CZG undoes a
-rejected visit by committing the old value again), ``preview_steps`` scores every
-fixed-step move in one pass, and ``gradient`` applies the one written-out partial
-derivative, ``_slope``, to every coordinate.  The kernel build, ``gradient`` and
-``preview_steps`` run over contiguous columns in 32-row blocks (``_BLOCK``), make no
-n x n temporaries and form f2 in five array operations (``_f2_rows``); ``gradient``
-weighs its pairs without ``np.sign``.  The build mirrors each unordered pair of
-rows, and every result is bit for bit that of whole-matrix products.
+rejected visit by committing the old value again) whose visits, like the public
+per-visit methods, read their terms from one builder, ``_visit_terms``, and their slope
+from ``_visit_slope``; ``preview_steps`` scores every fixed-step move in one pass, and
+``gradient`` applies the written-out partial derivative, ``_slope``, to every coordinate.
+The kernel build, ``gradient`` and ``preview_steps`` run over contiguous columns in
+32-row blocks (``_BLOCK``), make no n x n temporaries and form f2 in five array
+operations (``_f2_rows``); the last two share one pass of half leave-one-out kernel
+blocks (``_half_loo_blocks``).  The build mirrors each unordered pair of rows, and
+every result is bit for bit that of whole-matrix products.
 """
 
 from __future__ import annotations
@@ -59,8 +61,10 @@ def as_design_matrix(values) -> np.ndarray:
     return x
 
 
-def _clamp(v: float) -> float:
-    return min(1.0, max(0.0, v))
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a Python or numpy integer >= 1."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _f1(a):
@@ -140,28 +144,6 @@ def _moved_row(factors, xt: np.ndarray, at: np.ndarray, i: int, j: int, value: f
     return f1_row.prod(), row
 
 
-def _loo_terms(rp_i: float, f1_ij: float, g2_prod: float, g2_ij: float,
-               kernel_row: np.ndarray, f2_column: np.ndarray):
-    """Leave-one-out products p1, p2 and kernel row at (i, j) (O(n)).
-
-    ``rp_i``, ``g2_prod`` and ``kernel_row`` are row i's products of f1, of
-    (1 + |x - 1/2|) and of f2; ``f1_ij``, ``g2_ij`` and ``f2_column`` are the
-    factors coordinate (i, j) contributes to them.
-    """
-    return rp_i / f1_ij, float(g2_prod / g2_ij), kernel_row / f2_column
-
-
-def _pair_sum(x: float, sc: float, column: np.ndarray, p2: float,
-              kernel_row_loo: np.ndarray) -> float:
-    """Sum over k != i of kernel_row_loo[k] * (sc - sgn(x - x_kj)) / 2.
-
-    The k = i term is subtracted from the full dot product: its leave-one-out
-    product is exactly p2 and its weight is sc/2 because sgn(x - x) = 0.
-    """
-    w = 0.5 * sc - 0.5 * np.sign(x - column)
-    return float(kernel_row_loo @ w) - p2 * 0.5 * sc
-
-
 def _slope(p1, p2, sc, d, pair_sum, n: int):
     """dCD2/dx_ij from leave-one-out products, sgn(d), d = x_ij - 1/2 and pair sum; broadcasts."""
     return -(2.0 / n) * p1 * (0.5 * sc - d) + p2 * sc / n**2 + (2.0 / n**2) * pair_sum
@@ -175,31 +157,25 @@ def cd2(design) -> float:
     return DiscrepancyCache(design).cd2
 
 
-def _coordinate_gradient(
+def _visit_slope(x: float, d: float, column: np.ndarray, p1: float, p2: float,
+                 loo: np.ndarray, n: int) -> float:
+    """dCD2/dx_ij at x_ij = x, with d in place of x - 1/2 in the f1 term, from ``_visit_terms``.
+
+    The pair sum over k != i subtracts the k = i term, loo[i] = p2 with weight sc/2
+    (sgn(x - x) = 0), from the full dot product.  sgn(0) = 0 picks a deterministic
+    subgradient at kinks.
+    """
+    sc = float(np.sign(x - 0.5))
+    pair_sum = float(loo @ (0.5 * sc - 0.5 * np.sign(x - column))) - p2 * 0.5 * sc
+    return _slope(p1, p2, sc, d, pair_sum, n)
+
+
+def _zero_gradient_recursion(
     x: float,
     column: np.ndarray,
     p1: float,
     p2: float,
-    kernel_row_loo: np.ndarray,
-    n: int,
-) -> float:
-    """Partial derivative of CD2 w.r.t. one coordinate from leave-one-out products.
-
-    ``p1`` / ``p2`` are the products over the other factors of f1 and of
-    (1 + |x - 1/2|); ``kernel_row_loo[k]`` is prod_{q != j} f2(x_iq, x_kq).
-    sgn(0) = 0 picks a deterministic subgradient at kinks.
-    """
-    d = x - 0.5
-    sc = float(np.sign(d))
-    return _slope(p1, p2, sc, d, _pair_sum(x, sc, column, p2, kernel_row_loo), n)
-
-
-def _zero_gradient_recursion(
-    x0: float,
-    column: np.ndarray,
-    p1: float,
-    p2: float,
-    kernel_row_loo: np.ndarray,
+    loo: np.ndarray,
     n: int,
     t_max: int,
 ) -> float:
@@ -211,12 +187,10 @@ def _zero_gradient_recursion(
     is clamped into [0, 1].
     """
     b = -(2.0 / n) * p1
-    xt = x0
     for _ in range(t_max):
-        sc = float(np.sign(xt - 0.5))
-        # with the signs frozen the slope is _slope(d = 0) - b * d, zero at d = _slope(0) / b
-        xt = _slope(p1, p2, sc, 0.0, _pair_sum(xt, sc, column, p2, kernel_row_loo), n) / b + 0.5
-    return _clamp(xt)
+        # with the signs frozen the slope is _visit_slope(d = 0) - b * d, zero at d = that / b
+        x = _visit_slope(x, 0.0, column, p1, p2, loo, n) / b + 0.5
+    return min(1.0, max(0.0, x))
 
 
 def cd2_gradient(design) -> np.ndarray:
@@ -245,14 +219,15 @@ class DiscrepancyCache:
 
     ``gradient_sweep`` and ``zero_gradient_sweep`` run one refiner epoch and
     leave every array and value exactly as one ``coordinate_gradient`` or
-    ``zero_gradient_value`` plus one ``update`` per visit would.  A visit is
-    O(ns) elementwise numpy work on the active row's s x n f2 factors, in a
-    few calls, and an unguarded sweep re-sums once per epoch (O(n^2));
+    ``zero_gradient_value`` plus one ``update`` per visit would; all four read a visit's
+    terms from row i's s x n f2 factors (``_visit_terms``).  A visit is O(ns) elementwise
+    numpy work in a few calls, and an unguarded sweep re-sums once per epoch (O(n^2));
     guarded CZG re-sums after every visit and undoes a rejected one by committing
     the old value again.  ``preview_steps`` (all 2ns fixed-step moves), the kernel
     build and ``gradient`` (all ns derivatives) are O(n^2 s) passes in ``_BLOCK`` = 32-row
-    blocks with O(32 n) scratch, f2 from halved columns (``_f2_rows``) and, in ``gradient``,
-    pair weights sgn(x_ij - 1/2) - copysign(1, x_ij - x_kj), ties reset.  ``_swap_deltas``
+    blocks with O(32 n) scratch; the build forms f2 from halved columns, and the other two
+    share the blocks kernel / (2 f2) of ``_half_loo_blocks``.  ``gradient`` weighs pairs by
+    sgn(x_ij - 1/2) - copysign(1, x_ij - x_kj), ties reset.  ``_swap_deltas``
     scores K swaps in one O(Kn) pass, to round-off of ``preview_column_swap``, for threshold
     accepting's screen.
 
@@ -350,42 +325,33 @@ class DiscrepancyCache:
 
         Returns ``(targets, values)``, both n x s x 2 with the + move first:
         the moved coordinate and the CD2 the move gives, ``inf`` where clamping
-        leaves x_ij unchanged.  Column by column, the kernel divided by the old
-        f2 factors and multiplied by the new ones gives every candidate row's
-        sum, so the pass costs O(n^2 s) work in ``_BLOCK``-row blocks with O(_BLOCK * n) scratch.
+        leaves x_ij unchanged.  Column by column, the half leave-one-out kernel times
+        2 f2 of the moved point, each product exactly that of the whole ones, gives every
+        candidate row's sum in O(n^2 s) work in ``_BLOCK``-row blocks with O(_BLOCK * n) scratch.
         Its values agree with ``preview_update`` up to round-off, not bit for bit.
         """
         steps = np.asarray(steps, dtype=float)
         if steps.shape != (self.s,) or not np.all((0.0 < steps) & (steps < np.inf)):
             raise ValueError(f"steps must be {self.s} finite positive reals, one per column")
-        kernel, n = self._kernel, self.n
-        targets, values = np.empty((2, n, self.s, 2))
-        all_row_sums, all_diagonal = kernel.sum(axis=1), kernel.diagonal()
-        xt, at = 0.5 * self._xt, 0.5 * self._at  # halved columns
-        loo, f2_new, tmp = np.empty((3, min(_BLOCK, n), n))
-        for r0 in range(0, n, _BLOCK):
-            rows, m = slice(r0, r0 + _BLOCK), min(_BLOCK, n - r0)
-            kb, rp, row_sums, diagonal = kernel[rows], self._rp[rows], all_row_sums[rows], all_diagonal[rows]
-            lb, fb, tb, sums = loo[:m], f2_new[:m], tmp[:m], np.empty((2, m))
-            fb_diagonal = fb.reshape(-1)[r0::n + 1]  # entries (r, r0 + r): a moved point with itself
-            for j, (column, a_column) in enumerate(zip(xt, at)):
-                u, au = self._xt[j, rows], self._at[j, rows]
-                # leave-one-out kernel, over factors q != j
-                _f2_rows(lb, tb, column[rows], a_column[rows], column, a_column)
-                np.divide(kb, lb, out=lb)
-                v = np.clip(u + np.array([[steps[j]], [-steps[j]]]), 0.0, 1.0)  # rows: + and - moves
-                av = np.abs(v - 0.5)
-                g2_new = 1.0 + av
-                for d in range(2):
-                    _f2_rows(fb, tb, 0.5 * v[d], 0.5 * av[d], column, a_column)
-                    fb_diagonal[:] = g2_new[d]
-                    sums[d] = np.einsum("ik,ik->i", lb, fb)
-                d_kernel = 2.0 * (sums - row_sums) - (lb[:, rows].diagonal() * g2_new - diagonal)
-                d_rp = rp / _f1(au) * _f1(av) - rp
-                cd2 = self._combine(self._sum_rp + d_rp, self._sum_kernel + d_kernel)
-                targets[rows, j] = v.T
-                values[rows, j] = np.where(v == u, np.inf, cd2).T
-        return targets, values
+        xt, rp, n = self._xt, self._rp, self.n
+        # the + and - moves of every coordinate, 2 x s x n, and the f1 product changes they make
+        v = np.clip(xt + np.multiply.outer([1.0, -1.0], steps)[..., None], 0.0, 1.0)
+        av = np.abs(v - 0.5)
+        d_rp = rp / _f1(self._at) * _f1(av) - rp
+        d_kernel = np.empty_like(v)
+        row_sums, diagonal = self._kernel.sum(axis=1), self._kernel.diagonal()
+        f2_new = np.empty((min(_BLOCK, n), n))
+        for rows, j, half, tmp in self._half_loo_blocks():
+            fb = f2_new[:len(half)]
+            fb_diagonal = fb.reshape(-1)[rows.start::n + 1]  # entries (r, r0 + r): a point with itself
+            g2_new = 2.0 + 2.0 * av[:, j, rows]  # twice 1 + |v - 1/2|
+            for d in range(2):
+                _f2_rows(fb, tmp, v[d, j, rows], av[d, j, rows], xt[j], self._at[j], one=2.0)
+                fb_diagonal[:] = g2_new[d]
+                d_kernel[d, j, rows] = 2.0 * (np.einsum("ik,ik->i", half, fb) - row_sums[rows])
+            d_kernel[:, j, rows] -= half[:, rows].diagonal() * g2_new - diagonal[rows]
+        cd2 = self._combine(self._sum_rp + d_rp, self._sum_kernel + d_kernel)
+        return v.transpose(2, 1, 0).copy(), np.where(v == xt, np.inf, cd2).transpose(2, 1, 0).copy()
 
     def gradient(self) -> np.ndarray:
         """The gradient matrix of CD2 at the cached design (O(n^2 s)); see ``cd2_gradient``."""
@@ -395,25 +361,38 @@ class DiscrepancyCache:
         g2 = 1.0 + at
         p2 = np.prod(g2, axis=0) / g2
         sums = np.empty_like(xt)
-        loo, w, tmp = np.empty((3, min(_BLOCK, n), n))
-        ties = np.empty(loo.shape, dtype=bool)
+        w = np.empty((min(_BLOCK, n), n))
+        ties = np.empty(w.shape, dtype=bool)
+        for rows, j, half, _ in self._half_loo_blocks(diff=w):
+            # wb = sc - sgn(x_ij - x_kj), twice the weight of the half leave-one-out kernel,
+            # so each product and the einsum's sums keep their bits
+            wb, eb = w[:len(half)], ties[:len(half)]
+            np.equal(wb, 0.0, out=eb)  # ties, the diagonal among them: sgn 0, copysign 1
+            np.copysign(1.0, wb, out=wb)
+            sc_rows = sc[j, rows, None]
+            np.subtract(sc_rows, wb, out=wb)
+            np.copyto(wb, sc_rows, where=eb)
+            sums[j, rows] = np.einsum("ik,ik->i", half, wb)
+        pair = sums - p2 * 0.5 * sc
+        return _slope(self._rp / _f1(at), p2, sc, d, pair, n).T.copy()
+
+    def _half_loo_blocks(self, diff=None):
+        """Yield ``rows, j, half, tmp`` for each ``_BLOCK``-row block and column j.
+
+        ``half`` is kernel / (2 f2(x_rj, x_kj)), with 2 f2 from whole columns (``_f2_rows``
+        with one = 2), so it is exactly half the kernel over the factors q != j.  Both buffers are
+        reused at the next yield (``tmp`` is free scratch); a ``diff`` (_BLOCK x n) gets x_rj - x_kj.
+        """
+        xt, at, n = self._xt, self._at, self.n
+        half, tmp = np.empty((2, min(_BLOCK, n), n))
         for r0 in range(0, n, _BLOCK):
             rows = slice(r0, r0 + _BLOCK)
             kernel = self._kernel[rows]
-            lb, wb, tb, eb = (buffer[:len(kernel)] for buffer in (loo, w, tmp, ties))
+            hb, tb, db = (None if b is None else b[:len(kernel)] for b in (half, tmp, diff))
             for j, (u, au) in enumerate(zip(xt, at)):
-                # lb = kernel / (2 f2) and wb = sc - sgn(x_ij - x_kj), half the leave-one-out
-                # kernel and twice the weight, so each product and the einsum's sums keep their bits
-                _f2_rows(lb, tb, u[rows], au[rows], u, au, one=2.0, diff=wb)
-                np.divide(kernel, lb, out=lb)
-                np.equal(wb, 0.0, out=eb)  # ties, the diagonal among them: sgn 0, copysign 1
-                np.copysign(1.0, wb, out=wb)
-                sc_rows = sc[j, rows, None]
-                np.subtract(sc_rows, wb, out=wb)
-                np.copyto(wb, sc_rows, where=eb)
-                sums[j, rows] = np.einsum("ik,ik->i", lb, wb)
-        pair = sums - p2 * 0.5 * sc
-        return _slope(self._rp / _f1(at), p2, sc, d, pair, n).T.copy()
+                _f2_rows(hb, tb, u[rows], au[rows], u, au, one=2.0, diff=db)
+                np.divide(kernel, hb, out=hb)
+                yield rows, j, hb, tb
 
     def _swap_terms(self, r1: int, r2: int, col: int):
         """Sum deltas and f2 ratio vectors of exchanging x_{r1,col} and x_{r2,col}.
@@ -529,28 +508,33 @@ class DiscrepancyCache:
         self.cd2 = self._combine(self._sum_rp, self._sum_kernel)
         return self.cd2
 
-    def _visit_terms(self, i: int, j: int):
-        """x_ij, column j and the leave-one-out terms at (i, j) (O(n + s))."""
-        self._check_index(i, j)
-        column, a_column, g2_row = self._xt[j], self._at[j], 1.0 + self._at[:, i]
-        u, au = column[i], a_column[i]
-        terms = _loo_terms(self._rp[i], _f1(au), g2_row.prod(), g2_row[j], self._kernel[i],
-                           _f2(u, au, column, a_column))
-        return (u, column, *terms)
+    def _visit_terms(self, i: int, j: int, factors, g2_prod: float):
+        """x_ij, column j and leave-one-out p1, p2 and kernel row at (i, j) from row i's factors (O(n)).
+
+        ``factors`` are row i's ``_row_factors`` and ``g2_prod`` the product of its 1 + |x_iq - 1/2|.
+        """
+        f2_t, f1_row, g2_row = factors
+        column = self._xt[j]
+        p1, p2 = self._rp[i] / f1_row[j], float(g2_prod / g2_row[j])
+        return column[i], column, p1, p2, self._kernel[i] / f2_t[j]
 
     def coordinate_gradient(self, i: int, j: int) -> float:
-        """dCD2/dx_ij at the cached design (O(n + s))."""
-        return _coordinate_gradient(*self._visit_terms(i, j), self.n)
+        """dCD2/dx_ij at the cached design (O(ns))."""
+        self._check_index(i, j)
+        factors = self._row_factors(i)
+        x, *terms = self._visit_terms(i, j, factors, factors[2].prod())
+        return _visit_slope(x, x - 0.5, *terms, self.n)
 
     def zero_gradient_value(self, i: int, j: int, t_max: int = 1) -> float:
         """x_ij solving dCD2/dx_ij = 0 with the sign terms frozen, clamped into [0, 1].
 
         Runs the stationarity recursion ``t_max`` times from the current x_ij
-        (one step is normally sufficient), from cached state in O(n + s).
+        (one step is normally sufficient), from cached state in O(ns).
         """
-        terms = self._visit_terms(i, j)
-        if t_max < 1:
-            raise ValueError("t_max must be >= 1")
+        self._check_index(i, j)
+        _check_count("t_max", t_max)
+        factors = self._row_factors(i)
+        terms = self._visit_terms(i, j, factors, factors[2].prod())
         return _zero_gradient_recursion(*terms, self.n, t_max)
 
     def gradient_sweep(self, step_size: float) -> float:
@@ -561,9 +545,8 @@ class DiscrepancyCache:
         """
         if not 0.0 <= step_size < np.inf:
             raise ValueError(f"step_size must be finite and >= 0, got {step_size!r}")
-        n = self.n
         return self._sweep(
-            lambda x, *terms: _clamp(x - step_size * _coordinate_gradient(x, *terms, n))
+            lambda x, *terms: min(1.0, max(0.0, x - step_size * _visit_slope(x, x - 0.5, *terms, self.n)))
         )
 
     def zero_gradient_sweep(self, t_max: int = 1, guarded: bool = False) -> float:
@@ -572,31 +555,28 @@ class DiscrepancyCache:
         Visits the coordinates in row-major order with in-place updates.  With
         ``guarded`` a visit that increases CD2 is rolled back.
         """
-        if t_max < 1:
-            raise ValueError("t_max must be >= 1")
-        n = self.n
+        _check_count("t_max", t_max)
         return self._sweep(
-            lambda x, *terms: _zero_gradient_recursion(x, *terms, n, t_max), guarded
+            lambda *terms: _zero_gradient_recursion(*terms, self.n, t_max), guarded
         )
 
     def _sweep(self, rule, guarded: bool = False) -> float:
-        """Row-blocked Gauss-Seidel pass: x_ij = rule(*self._visit_terms(i, j)) at every (i, j).
+        """Row-blocked Gauss-Seidel pass: x_ij = rule(*self._visit_terms(i, j, ...)) at every (i, j).
 
-        Builds row i's ``_row_factors`` once; a visit divides the kernel row by one
-        factor row, and ``_commit`` writes the move from them as ``update`` does: O(ns)
+        Builds row i's ``_row_factors`` once, and every visit of the row reads its terms
+        from them and ``_commit`` writes the move from them as ``update`` does: O(ns)
         elementwise work in a few numpy calls.  An unguarded pass re-sums once at the
         end (O(n^2)); a guarded one re-sums after every visit, because it compares CD2
         there, and undoes a rejected visit by committing the old value again and
         restoring the three sums.
         """
-        xt, kernel, rp = self._xt, self._kernel, self._rp
+        xt, kernel = self._xt, self._kernel
         for i in range(self.n):
-            factors = f2_t, f1_row, g2_row = self._row_factors(i)
-            g2_prod = g2_row.prod()
+            factors = self._row_factors(i)
+            g2_prod = factors[2].prod()
             for j in range(self.s):
-                terms = _loo_terms(rp[i], f1_row[j], g2_prod, g2_row[j], kernel[i], f2_t[j])
                 old, sums = xt[j, i], (self._sum_rp, self._sum_kernel, self.cd2)
-                self._commit(i, j, rule(old, xt[j], *terms), factors)
+                self._commit(i, j, rule(*self._visit_terms(i, j, factors, g2_prod)), factors)
                 if guarded and self.resum() > sums[-1]:
                     self._commit(i, j, old, factors)
                     self._sum_rp, self._sum_kernel, self.cd2 = sums

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrepancy import DiscrepancyCache, cd2
+from .discrepancy import DiscrepancyCache, _check_count, cd2
 
 __all__ = [
     "UTypeDesign",
@@ -148,8 +148,8 @@ def threshold_sequence(
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    if stages < 1 or probes < 1:
-        raise ValueError("stages and probes must be >= 1")
+    _check_count("stages", stages)
+    _check_count("probes", probes)
     lo = np.inf
     hi = -np.inf
     for _ in range(probes):
@@ -197,6 +197,7 @@ class TaConfig:
 
     ``iterations_per_stage`` candidate swaps are attempted at each of the
     ``stages`` + 1 schedule values (the final stage runs at threshold zero).
+    ``stages``, ``probes`` and ``iterations_per_stage`` are integers >= 1.
     """
 
     n: int
@@ -216,8 +217,8 @@ class TaConfig:
             raise ValueError(f"q={self.q} must divide n={self.n}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
-        if min(self.stages, self.probes, self.iterations_per_stage) < 1:
-            raise ValueError("stages, probes and iterations_per_stage must be >= 1")
+        for name in ("stages", "probes", "iterations_per_stage"):
+            _check_count(name, getattr(self, name))
         if self.initial is not None:
             ini = self.initial
             if (ini.n, ini.q, ini.s) != (self.n, self.q, self.s):

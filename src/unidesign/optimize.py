@@ -41,7 +41,7 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from .discrepancy import DiscrepancyCache
+from .discrepancy import DiscrepancyCache, _check_count
 from .lattice import OptimizationTrace
 
 __all__ = [
@@ -67,10 +67,10 @@ class RefinerConfig:
     ``step_size`` is the CGD step, finite and >= 0 (0 is accepted as a
     degenerate no-op configuration); ``epsilon`` is the per-epoch CD2 change,
     finite and > 0, below which a run is declared converged (CDFSS ignores it
-    and stops only when no move improves); ``t_max`` is the CZG recursion
-    depth; ``column_steps`` are the CDFSS per-column grid steps, finite and
-    positive (default 1/(2n)).  ``guarded`` makes CZG reject coordinate updates
-    that increase CD2.
+    and stops only when no move improves); ``max_epochs`` and ``t_max``, the epoch
+    budget and the CZG recursion depth, are integers >= 1; ``column_steps`` are
+    the CDFSS per-column grid steps, finite and positive (default 1/(2n)).
+    ``guarded`` makes CZG reject coordinate updates that increase CD2.
     """
 
     step_size: float = 0.01
@@ -86,10 +86,8 @@ class RefinerConfig:
             raise ValueError("step_size must be finite and >= 0")
         if not 0.0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be finite and > 0")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.t_max < 1:
-            raise ValueError("t_max must be >= 1")
+        _check_count("max_epochs", self.max_epochs)
+        _check_count("t_max", self.t_max)
         if self.column_steps is not None:
             steps = np.asarray(self.column_steps, dtype=float)
             if steps.ndim != 1 or not np.all((0.0 < steps) & (steps < np.inf)):

@@ -7,8 +7,9 @@ The reference refiners visit one coordinate per public ``DiscrepancyCache``
 call, so the production refiners' row-blocked sweeps and one-pass CDFSS
 scoring must reproduce them bit for bit.  ``kernel_reference`` builds the
 pairwise kernel as whole n x n products, and the reference CD2, gradient
-matrix and zero-gradient solve build their own kernels, so the cache's
-row-blocked kernel, ``cd2``, ``cd2_gradient`` and
+matrix, coordinate gradient and zero-gradient solve build their own kernels,
+so the cache's row-blocked kernel, ``cd2``, ``cd2_gradient``,
+``DiscrepancyCache.coordinate_gradient`` and
 ``DiscrepancyCache.zero_gradient_value`` must reproduce them bit for bit too.  ``preview_steps_reference`` builds
 whole n x n temporaries per column and direction, and
 ``ta_optimize_reference`` previews every drawn swap exactly, so the
@@ -165,14 +166,12 @@ def preview_steps_reference(cache, steps):
     return targets, values
 
 
-def zero_gradient_solve_reference(design, i: int, j: int, t_max: int = 1) -> float:
-    """The frozen-sign stationarity recursion at (i, j) from row i's kernel alone (O(ns))."""
+def _visit_reference(design, i: int, j: int):
+    """x, column j, p1, p2 and the leave-one-out kernel row at (i, j) from row i's kernel alone (O(ns))."""
     x = as_design_matrix(design)
     n, s = x.shape
     if not (0 <= i < n and 0 <= j < s):
         raise IndexError(f"coordinate ({i}, {j}) out of range for a {n}x{s} design")
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
     a = np.abs(x - 0.5)
     ai = a[i]
     kernel_row = np.prod(_f2(x[i][None, :], ai[None, :], x, a), axis=1)
@@ -181,14 +180,33 @@ def zero_gradient_solve_reference(design, i: int, j: int, t_max: int = 1) -> flo
     column = x[:, j]
     p1 = float(np.prod(_f1(ai))) / _f1(ai[j])
     p2 = float(g2_row.prod() / g2_row[j])
-    kernel_row_loo = kernel_row / _f2(x[i, j], ai[j], column, a[:, j])
-    b = -(2.0 / n) * p1
-    xt = x[i, j]
+    return x, column, p1, p2, kernel_row / _f2(x[i, j], ai[j], column, a[:, j])
+
+
+def _slope_reference(xt, d, column, p1, p2, kernel_row_loo, n):
+    """dCD2/dx_ij, written out, with the signs taken at x_ij = xt and d in place of x_ij - 1/2."""
+    sc = float(np.sign(xt - 0.5))
+    w = 0.5 * sc - 0.5 * np.sign(xt - column)
+    pair_sum = float(kernel_row_loo @ w) - p2 * 0.5 * sc
+    return -(2.0 / n) * p1 * (0.5 * sc - d) + p2 * sc / n**2 + (2.0 / n**2) * pair_sum
+
+
+def coordinate_gradient_reference(design, i: int, j: int) -> float:
+    """dCD2/dx_ij from row i's kernel alone (O(ns))."""
+    x, *terms = _visit_reference(design, i, j)
+    return _slope_reference(x[i, j], x[i, j] - 0.5, *terms, len(x))
+
+
+def zero_gradient_solve_reference(design, i: int, j: int, t_max: int = 1) -> float:
+    """The frozen-sign stationarity recursion at (i, j) from row i's kernel alone (O(ns))."""
+    x, *terms = _visit_reference(design, i, j)
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    n, xt = len(x), x[i, j]
+    b = -(2.0 / n) * terms[1]
     for _ in range(t_max):
-        sc = float(np.sign(xt - 0.5))
-        w = 0.5 * sc - 0.5 * np.sign(xt - column)
-        pair_sum = float(kernel_row_loo @ w) - p2 * 0.5 * sc
-        xt = (-(2.0 / n) * p1 * 0.5 * sc + p2 * sc / n**2 + (2.0 / n**2) * pair_sum) / b + 0.5
+        # with the signs frozen at xt the slope at d = x_ij - 1/2 is its value at d = 0 minus b * d
+        xt = _slope_reference(xt, 0.0, *terms, n) / b + 0.5
     return min(1.0, max(0.0, xt))
 
 

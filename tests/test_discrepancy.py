@@ -14,6 +14,7 @@ from oracles import (
     cd2_kernel_reference,
     cd2_reference,
     central_difference_gradient,
+    coordinate_gradient_reference,
     gradient_relative_error,
     kernel_reference,
     off_kink_design,
@@ -158,6 +159,7 @@ class TestOneDerivative:
                     for t_max in (1, 3):
                         expected = zero_gradient_solve_reference(x, i, j, t_max)
                         assert cache.zero_gradient_value(i, j, t_max) == expected
+                    assert cache.coordinate_gradient(i, j) == coordinate_gradient_reference(x, i, j)
 
     def test_gradient_after_commits_matches_fresh(self):
         # swap commits rescale kernel rows, so the cached arrays carry
@@ -427,6 +429,10 @@ class TestSweeps:
     def test_zero_gradient_sweep_rejects_bad_depth(self):
         with pytest.raises(ValueError):
             DiscrepancyCache([[0.3]]).zero_gradient_sweep(t_max=0)
+        for bad in (2.5, float("nan"), 3.0):
+            with pytest.raises(ValueError):
+                DiscrepancyCache([[0.3]]).zero_gradient_sweep(t_max=bad)
+        assert DiscrepancyCache([[0.3]]).zero_gradient_sweep(t_max=np.int64(2)) >= 0.0
 
     @pytest.mark.parametrize("step", [float("nan"), float("inf"), -float("inf"), -0.1])
     def test_gradient_sweep_rejects_bad_step(self, step):
@@ -582,6 +588,10 @@ class TestZeroGradientSolve:
             cache.zero_gradient_value(1, 0)
         with pytest.raises(ValueError):
             cache.zero_gradient_value(0, 0, t_max=0)
+        for bad in (2.5, float("nan"), 3.0):
+            with pytest.raises(ValueError):
+                cache.zero_gradient_value(0, 0, t_max=bad)
+        assert cache.zero_gradient_value(0, 0, t_max=np.int32(2)) == 0.5
 
 
 def test_coordinate_gradient_matches_full_matrix():

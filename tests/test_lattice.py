@@ -187,6 +187,13 @@ class TestThresholdSequence:
             threshold_sequence(cache, 0.5, 0, 5, np.random.default_rng(0))
         with pytest.raises(ValueError):
             threshold_sequence(cache, 0.5, 3, 0, np.random.default_rng(0))
+        # non-integral counts are rejected up front, not by range() partway through
+        for bad in (2.5, float("nan"), 3.0):
+            with pytest.raises(ValueError):
+                threshold_sequence(cache, 0.5, bad, 5, np.random.default_rng(0))
+            with pytest.raises(ValueError):
+                threshold_sequence(cache, 0.5, 3, bad, np.random.default_rng(0))
+        assert len(threshold_sequence(cache, 0.5, np.int64(3), np.int32(5), np.random.default_rng(0))) == 4
 
 
 def small_config(**overrides):
@@ -234,6 +241,14 @@ class TestTaOptimize:
     def test_initial_shape_checked(self):
         with pytest.raises(ValueError):
             small_config(initial=random_utype(4, 4, 3, seed=0))
+
+    @pytest.mark.parametrize("name", ["stages", "probes", "iterations_per_stage"])
+    def test_counts_must_be_integers(self, name):
+        # 2.5 and NaN used to pass and then fail with TypeError partway through a run
+        for bad in (0, 2.5, float("nan"), 3.0):
+            with pytest.raises(ValueError):
+                small_config(**{name: bad})
+        assert getattr(small_config(**{name: np.int64(3)}), name) == 3
 
     def test_trace_iterations_increase(self):
         result = ta_optimize(small_config(seed=21))

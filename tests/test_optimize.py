@@ -200,6 +200,13 @@ def test_config_validation():
         RefinerConfig(max_epochs=0)
     with pytest.raises(ValueError):
         RefinerConfig(t_max=0)
+    # counts must be integers: 2.5 and NaN used to raise TypeError from range() mid-run
+    for bad in (2.5, float("nan"), 3.0):
+        with pytest.raises(ValueError):
+            RefinerConfig(max_epochs=bad)
+        with pytest.raises(ValueError):
+            RefinerConfig(t_max=bad)
+    assert RefinerConfig(max_epochs=np.int64(5), t_max=np.int32(2)).max_epochs == 5
     with pytest.raises(ValueError):
         RefinerConfig(column_steps=[0.1, -0.2])
     # NaN fails every comparison, so each bound must reject it explicitly
