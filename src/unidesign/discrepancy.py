@@ -81,6 +81,10 @@ def _f2(u, au, w, aw):
 # at 64 rows than at 32, and at 27x13 ``preview_steps`` takes 1.8x as long at 16
 _BLOCK = 32
 
+# the batch scorers' worst measured errors, in units of ``term_scale``, are 1.5e-16
+# (``_swap_deltas``) and 6e-16 (``preview_steps``); ``_near`` allows thousands of times more
+_SCREEN_RTOL = 1e-12
+
 
 def _f2_rows(out, tmp, u, au, w, aw, one=1.0, diff=None) -> None:
     """Write (one + (au_r + aw_k)) - |u_r - w_k| into ``out`` (len(u) x len(w)).
@@ -229,7 +233,7 @@ class DiscrepancyCache:
     share the blocks kernel / (2 f2) of ``_half_loo_blocks``.  ``gradient`` weighs pairs by
     sgn(x_ij - 1/2) - copysign(1, x_ij - x_kj), ties reset.  ``_swap_deltas``
     scores K swaps in one O(Kn) pass, to round-off of ``preview_column_swap``, for threshold
-    accepting's screen.
+    accepting's screen; ``_near`` keeps the batch scores that need an exact preview.
 
     Single-writer: concurrent mutation is not supported.
     """
@@ -266,6 +270,10 @@ class DiscrepancyCache:
     def term_scale(self) -> float:
         """Sum of the magnitudes of CD2's three terms, the scale of its round-off."""
         return self._const + (2.0 / self.n) * self._sum_rp + self._sum_kernel / self.n**2
+
+    def _near(self, values, cut: float) -> np.ndarray:
+        """Flat indices of the batch scores ``values`` whose exact score may be <= ``cut``."""
+        return np.flatnonzero(values <= cut + _SCREEN_RTOL * self.term_scale)
 
     def value_at(self, i: int, j: int) -> float:
         self._check_index(i, j)

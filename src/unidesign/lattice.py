@@ -5,8 +5,10 @@ each level 1..q exactly n/q times; it embeds into [0,1]^s at (l - 0.5)/q.
 Threshold accepting walks the swap neighborhood (exchange two entries of one
 column), accepting a candidate iff its CD2 worsens the current value by at
 most a threshold drawn from a decreasing schedule that ends at exactly zero.
-After a run of rejects a stage screens its swaps a block at a time and previews
-exactly only those that can pass, with bit-identical decisions and results.
+One sampler, ``_draw_swaps``, draws the schedule's probes and each stage's
+swaps, one batch per call.  After a run of rejects a stage screens its swaps a
+block at a time and previews exactly only those that can pass, with
+bit-identical decisions and results.
 """
 
 from __future__ import annotations
@@ -32,6 +34,14 @@ __all__ = [
 ]
 
 
+def _check_shape(n: int, q: int, s: int) -> None:
+    """Raise ValueError unless n, q and s are integers >= 1 and q divides n."""
+    for name, value in (("n", n), ("q", q), ("s", s)):
+        _check_count(name, value)
+    if n % q != 0:
+        raise ValueError(f"q={q} must divide n={n}")
+
+
 def _lattice_levels(levels, q: int) -> np.ndarray:
     """``levels`` as a new 2-D int64 matrix; a non-finite, fractional or out-of-range entry raises."""
     levels = np.asarray(levels)
@@ -54,13 +64,10 @@ class UTypeDesign:
     q: int
 
     def __post_init__(self):
-        q = int(self.q)
-        if q < 1:
-            raise ValueError("q must be >= 1")
-        levels = _lattice_levels(self.levels, q)
+        levels = _lattice_levels(self.levels, self.q)
         n, s = levels.shape
-        if n % q != 0:
-            raise ValueError(f"q={q} must divide n={n}")
+        _check_shape(n, self.q, s)
+        q = int(self.q)
         reps = n // q
         for j in range(s):
             counts = np.bincount(levels[:, j], minlength=q + 1)[1:]
@@ -84,10 +91,7 @@ def random_utype(n: int, q: int, s: int, seed) -> UTypeDesign:
 
     ``seed`` may be an int or an existing ``numpy.random.Generator``.
     """
-    if n < 1 or s < 1 or q < 1:
-        raise ValueError("n, q, s must all be >= 1")
-    if n % q != 0:
-        raise ValueError(f"q={q} must divide n={n}")
+    _check_shape(n, q, s)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     base = np.repeat(np.arange(1, q + 1, dtype=np.int64), n // q)
     cols = [rng.permutation(base) for _ in range(s)]
@@ -99,22 +103,12 @@ def embed(design: UTypeDesign) -> np.ndarray:
     return (design.levels - 0.5) / design.q
 
 
-def _draw_swap(rng: np.random.Generator, n: int, s: int):
-    """One random (column, row1, row2) with distinct rows.
-
-    Draws the ``threshold_sequence`` probes; ``ta_optimize`` draws its swaps a
-    stage at a time with ``_draw_swaps``.
-    """
-    col = int(rng.integers(s))
-    r1, r2 = rng.choice(n, size=2, replace=False)
-    return col, int(r1), int(r2)
-
-
 def _draw_swaps(rng: np.random.Generator, n: int, s: int, size: int):
     """``size`` random (column, row1, row2) triples with distinct rows, as three arrays.
 
-    Row 2 is drawn from the n - 1 rows other than row 1, by shifting draws
-    from 0..n-2 past row 1, so each distinct pair is equally likely.
+    TA's one swap sampler, for the schedule's probes and for each stage's swaps.  Row 2
+    is drawn from the n - 1 rows other than row 1, by shifting draws from 0..n-2
+    past row 1, so each distinct pair is equally likely.
     """
     cols = rng.integers(s, size=size)
     rows1 = rng.integers(n, size=size)
@@ -125,11 +119,10 @@ def _draw_swaps(rng: np.random.Generator, n: int, s: int, size: int):
 
 # Screened TA: after _SCREEN_AFTER straight rejects a stage scores its next K =
 # min(4 * rejects, _SCREEN_MAX_BLOCK, _SCREEN_ELEMENTS // 2n) swaps in one pass (K x 2 x n
-# arrays, <= 16 KB) and skips those more than _SCREEN_MARGIN * term_scale above the
-# threshold, thousands of times the screen's worst error (1.5e-16 * term_scale).  Blocks
-# under _SCREEN_MIN_BLOCK (n > 64) do not repay the screen's per-call cost and are not used.
-_SCREEN_AFTER, _SCREEN_MIN_BLOCK, _SCREEN_MAX_BLOCK = 4, 16, 256
-_SCREEN_ELEMENTS, _SCREEN_MARGIN = 2048, 1e-12
+# arrays, <= 16 KB) and previews only those the cache's ``_near`` keeps, the swaps within
+# its screen tolerance of the threshold.  Blocks under _SCREEN_MIN_BLOCK (n > 64) do not
+# repay the screen's per-call cost and are not used.
+_SCREEN_AFTER, _SCREEN_MIN_BLOCK, _SCREEN_MAX_BLOCK, _SCREEN_ELEMENTS = 4, 16, 256, 2048
 
 
 def threshold_sequence(
@@ -143,28 +136,21 @@ def threshold_sequence(
 
     T_0 is ``alpha`` times the range of CD2 over ``probes`` random swap
     neighbors of the lattice design held in ``cache`` (which is left as it
-    was); thereafter T_i = (I - i)/I * T_{i-1}.  A zero probe range yields
-    the all-zero schedule (TA degrades to local search).
+    was), drawn in one ``_draw_swaps`` call and each scored by the exact
+    ``preview_column_swap``; thereafter T_i = (I - i)/I * T_{i-1}.  A zero
+    probe range yields the all-zero schedule (TA degrades to local search); a
+    one-row design has no swaps and draws nothing from ``rng``.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     _check_count("stages", stages)
     _check_count("probes", probes)
-    lo = np.inf
-    hi = -np.inf
-    for _ in range(probes):
-        if cache.n < 2:
-            val = cache.cd2
-        else:
-            col, r1, r2 = _draw_swap(rng, cache.n, cache.s)
-            val = cache.preview_column_swap(r1, r2, col)
-        lo = min(lo, val)
-        hi = max(hi, val)
-    values = np.empty(stages + 1)
-    values[0] = alpha * (hi - lo)
-    for i in range(1, stages + 1):
-        values[i] = (stages - i) / stages * values[i - 1]
-    return values
+    spread = 0.0
+    if cache.n > 1:
+        cols, rows1, rows2 = (d.tolist() for d in _draw_swaps(rng, cache.n, cache.s, probes))
+        values = [cache.preview_column_swap(r1, r2, col) for col, r1, r2 in zip(cols, rows1, rows2)]
+        spread = max(values) - min(values)
+    return np.cumprod(np.r_[alpha * spread, (stages - np.arange(1, stages + 1)) / stages])
 
 
 class TraceRecord(NamedTuple):
@@ -211,10 +197,7 @@ class TaConfig:
     initial: UTypeDesign | None = None
 
     def __post_init__(self):
-        if self.n < 1 or self.q < 1 or self.s < 1:
-            raise ValueError("n, q, s must all be >= 1")
-        if self.n % self.q != 0:
-            raise ValueError(f"q={self.q} must divide n={self.n}")
+        _check_shape(self.n, self.q, self.s)
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
         for name in ("stages", "probes", "iterations_per_stage"):
@@ -239,9 +222,9 @@ def ta_optimize(config: TaConfig, schedule=None) -> TaResult:
     from-scratch CD2.  The trace records the initial value and the CD2 after
     every accepted move.  Each swap is scored and committed in O(n) by the
     cache, which re-sums its kernel at the end of every stage.  Swaps are
-    screened in blocks (see ``_SCREEN_AFTER``); only those within 1e-12 *
-    ``term_scale`` of passing get the exact preview, which decides and commits,
-    so designs, ``cd2`` and trace are those of previewing every swap.  The
+    screened in blocks (see ``_SCREEN_AFTER``); only those that the cache's
+    ``_near`` keeps get the exact preview, which decides and commits, so
+    designs, ``cd2`` and trace are those of previewing every swap.  The
     cache is released before the final CD2 builds a kernel of its own.
     Bit-reproducible for a fixed config.  ``schedule`` overrides the
     data-driven threshold sequence (used for forcing pure local search in
@@ -275,8 +258,8 @@ def ta_optimize(config: TaConfig, schedule=None) -> TaResult:
                 end, passing = t + 1, (t,)
             else:
                 end = min(len(cols), t + min(4 * rejects, max_block))
-                excess = cache._swap_deltas(rows1[t:end], rows2[t:end], cols[t:end]) - threshold
-                passing = (t + np.flatnonzero(excess <= _SCREEN_MARGIN * cache.term_scale)).tolist()
+                deltas = cache._swap_deltas(rows1[t:end], rows2[t:end], cols[t:end])
+                passing = (t + cache._near(deltas, threshold)).tolist()
             for i in passing:
                 col, r1, r2 = cols.item(i), rows1.item(i), rows2.item(i)
                 candidate = cache.preview_column_swap(r1, r2, col)

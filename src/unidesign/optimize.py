@@ -175,13 +175,6 @@ def czg(init, config: RefinerConfig | None = None) -> RefineResult:
     return _loop(cache, epoch, config.max_epochs, config.epsilon)
 
 
-# CDFSS re-scores, with ``preview_update``, every move whose one-pass score is
-# within this fraction of ``term_scale`` of the pass's best, so that it commits
-# exactly the move a ``preview_update`` of every candidate would pick.  The two
-# scorings differ by at most ~6e-16 of that scale.
-_RESCORE_RTOL = 1e-12
-
-
 def cdfss(init, config: RefinerConfig | None = None) -> RefineResult:
     """Coordinate descent with fixed per-column step sizes.
 
@@ -205,8 +198,9 @@ def cdfss(init, config: RefinerConfig | None = None) -> RefineResult:
             return "no_improving_move"
         best_move = None
         best_val = base
-        # flat indices run in (i, j, +, -) order
-        for k in np.flatnonzero(values <= lowest + _RESCORE_RTOL * cache.term_scale):
+        # re-score each move near the best one-pass score, to commit exactly the move a
+        # preview_update of every candidate would pick; flat indices run in (i, j, +, -) order
+        for k in cache._near(values, lowest):
             i, j, d = np.unravel_index(k, values.shape)
             v = targets[i, j, d]
             candidate = cache.preview_update(i, j, v)

@@ -26,7 +26,7 @@ from scipy.optimize import minimize
 from unidesign import (DiscrepancyCache, KrigingModel, OptimizationTrace, RefinerConfig, TaResult,
                        UTypeDesign, basis_matrix, cd2, embed, random_utype)
 from unidesign.discrepancy import as_design_matrix
-from unidesign.lattice import _draw_swap, _draw_swaps
+from unidesign.lattice import _draw_swaps
 from unidesign.surrogate import DEFAULT_NUGGET, DEFAULT_THETA_BOUNDS
 
 
@@ -378,17 +378,19 @@ def kriging_fit_reference(design, y, basis="poly0", theta_bounds=DEFAULT_THETA_B
 
 
 def threshold_schedule_reference(cache, alpha, stages, probes, rng):
-    """The threshold schedule from one exact ``preview_column_swap`` per probe."""
+    """The threshold schedule from one exact ``preview_column_swap`` per probe.
+
+    The probes come from one ``_draw_swaps`` call, as in ``threshold_sequence``.
+    """
     lo = np.inf
     hi = -np.inf
-    for _ in range(probes):
-        if cache.n < 2:
-            val = cache.cd2
-        else:
-            col, r1, r2 = _draw_swap(rng, cache.n, cache.s)
+    if cache.n < 2:
+        lo = hi = cache.cd2
+    else:
+        for col, r1, r2 in zip(*(d.tolist() for d in _draw_swaps(rng, cache.n, cache.s, probes))):
             val = cache.preview_column_swap(r1, r2, col)
-        lo = min(lo, val)
-        hi = max(hi, val)
+            lo = min(lo, val)
+            hi = max(hi, val)
     values = np.empty(stages + 1)
     values[0] = alpha * (hi - lo)
     for i in range(1, stages + 1):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from unidesign import lattice
+from unidesign import discrepancy, lattice
 from unidesign import (
     DiscrepancyCache,
     TaConfig,
@@ -30,6 +30,10 @@ class TestUTypeDesign:
     def test_q_must_divide_n(self):
         with pytest.raises(ValueError):
             UTypeDesign(np.array([[1], [2], [1]]), q=2)
+        # a fractional q used to be truncated: 6.9 became 6
+        for bad in (6.9, 6.0):
+            with pytest.raises(ValueError):
+                UTypeDesign(np.arange(1, 7).reshape(6, 1), q=bad)
 
     def test_levels_in_range(self):
         with pytest.raises(ValueError):
@@ -58,6 +62,10 @@ class TestRandomUtype:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             random_utype(5, 2, 1, seed=0)
+        # floats used to pass the check and fail with TypeError partway through
+        for shape in ((6, 6, 3.0), (6.0, 6, 3), (6, 6.0, 3)):
+            with pytest.raises(ValueError):
+                random_utype(*shape, seed=0)
 
 
 class TestEmbed:
@@ -82,7 +90,7 @@ def lattice_cache(design: UTypeDesign) -> DiscrepancyCache:
 
 def swap_in_cache(cache: DiscrepancyCache, rng: np.random.Generator) -> float:
     """TA's neighbour move: draw a swap, preview it and commit it; return the committed CD2."""
-    col, r1, r2 = lattice._draw_swap(rng, cache.n, cache.s)
+    col, r1, r2 = (int(d[0]) for d in lattice._draw_swaps(rng, cache.n, cache.s, 1))
     preview = cache.preview_column_swap(r1, r2, col)
     assert cache.apply_column_swap(r1, r2, col) == preview
     return preview
@@ -122,7 +130,7 @@ class TestTaNeighbor:
 
     def test_requires_two_rows(self):
         with pytest.raises(ValueError):
-            lattice._draw_swap(np.random.default_rng(0), 1, 1)
+            lattice._draw_swaps(np.random.default_rng(0), 1, 1, 1)
 
 
 class TestThresholdSequence:
@@ -136,8 +144,7 @@ class TestThresholdSequence:
         )
         rng = np.random.default_rng(9)
         values = []
-        for _ in range(40):
-            col, r1, r2 = lattice._draw_swap(rng, design.n, design.s)
+        for col, r1, r2 in zip(*lattice._draw_swaps(rng, design.n, design.s, 40)):
             levels = design.levels.copy()
             levels[[r1, r2], col] = levels[[r2, r1], col]
             values.append(cd2(embed(UTypeDesign(levels, design.q))))
@@ -173,6 +180,23 @@ class TestThresholdSequence:
             lattice_cache(design), alpha=0.9, stages=3, probes=8, rng=np.random.default_rng(3)
         )
         assert np.all(schedule == 0.0)
+
+    def test_one_row_draws_nothing(self):
+        # a one-row design has no swap to probe
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        schedule = threshold_sequence(lattice_cache(random_utype(1, 1, 3, seed=0)), 0.5, 4, 10, rng)
+        assert schedule.tolist() == [0.0] * 5
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("n, q, s", [(2, 2, 1), (12, 3, 4), (18, 18, 7)])
+    def test_probes_are_one_stage_draw(self, n, q, s):
+        # probes and stage swaps come from one sampler: the schedule consumes
+        # exactly one _draw_swaps call's worth of the stream
+        rng, expected = np.random.default_rng(n), np.random.default_rng(n)
+        threshold_sequence(lattice_cache(random_utype(n, q, s, seed=1)), 0.1, 5, 37, rng)
+        lattice._draw_swaps(expected, n, s, 37)
+        assert rng.bit_generator.state == expected.bit_generator.state
 
     def test_alpha_domain(self):
         cache = lattice_cache(random_utype(4, 4, 2, seed=11))
@@ -242,13 +266,14 @@ class TestTaOptimize:
         with pytest.raises(ValueError):
             small_config(initial=random_utype(4, 4, 3, seed=0))
 
-    @pytest.mark.parametrize("name", ["stages", "probes", "iterations_per_stage"])
+    @pytest.mark.parametrize("name", ["stages", "probes", "iterations_per_stage", "n", "q", "s"])
     def test_counts_must_be_integers(self, name):
         # 2.5 and NaN used to pass and then fail with TypeError partway through a run
+        # (n = 6.0 ran to a result)
         for bad in (0, 2.5, float("nan"), 3.0):
             with pytest.raises(ValueError):
                 small_config(**{name: bad})
-        assert getattr(small_config(**{name: np.int64(3)}), name) == 3
+        assert getattr(small_config(**{name: np.int64(6)}), name) == 6
 
     def test_trace_iterations_increase(self):
         result = ta_optimize(small_config(seed=21))
@@ -380,7 +405,7 @@ class TestScreenedTa:
         deltas = DiscrepancyCache._swap_deltas
 
         def off(cache, rows1, rows2, cols):
-            shift = error * lattice._SCREEN_MARGIN * cache.term_scale
+            shift = error * discrepancy._SCREEN_RTOL * cache.term_scale
             return deltas(cache, rows1, rows2, cols) + shift
 
         monkeypatch.setattr(DiscrepancyCache, "_swap_deltas", off)
