@@ -23,10 +23,10 @@ evaluation; a column swap is committed in O(n) by rescaling two kernel rows, and
 ``resum`` clears the round-off such commits leave in the sums.  The coordinate
 refiners run whole epochs inside the cache: ``gradient_sweep`` and
 ``zero_gradient_sweep`` are row-blocked Gauss-Seidel passes (guarded CZG undoes a
-rejected visit by committing the old value again) whose visits, like the public
-per-visit methods, read their terms from one builder, ``_visit_terms``, and their slope
-from ``_visit_slope``; ``preview_steps`` scores every fixed-step move in one pass, and
-``gradient`` applies the written-out partial derivative, ``_slope``, to every coordinate.
+rejected visit by committing the old value again) whose visits read their terms from
+one builder, ``_visit_terms``, and their slope from ``_visit_slope``; ``preview_steps``
+scores every fixed-step move in one pass, and ``gradient`` applies the written-out
+partial derivative, ``_slope``, to every coordinate.
 The kernel build, ``gradient`` and ``preview_steps`` run over contiguous columns in
 32-row blocks (``_BLOCK``), make no n x n temporaries and form f2 in five array
 operations (``_f2_rows``); the last two share one pass of half leave-one-out kernel
@@ -221,10 +221,9 @@ class DiscrepancyCache:
     value; its sums carry round-off from one commit to the next, which ``resum``
     (O(n^2) additions) clears.  Threshold accepting calls ``resum`` at the end of every stage.
 
-    ``gradient_sweep`` and ``zero_gradient_sweep`` run one refiner epoch and
-    leave every array and value exactly as one ``coordinate_gradient`` or
-    ``zero_gradient_value`` plus one ``update`` per visit would; all four read a visit's
-    terms from row i's s x n f2 factors (``_visit_terms``).  A visit is O(ns) elementwise
+    ``gradient_sweep`` and ``zero_gradient_sweep`` run one refiner epoch and leave
+    every array and value exactly as one ``update`` per visit would; each visit reads
+    its terms from row i's s x n f2 factors (``_visit_terms``).  A visit is O(ns) elementwise
     numpy work in a few calls, and an unguarded sweep re-sums once per epoch (O(n^2));
     guarded CZG re-sums after every visit and undoes a rejected one by committing
     the old value again.  ``preview_steps`` (all 2ns fixed-step moves), the kernel
@@ -526,25 +525,6 @@ class DiscrepancyCache:
         p1, p2 = self._rp[i] / f1_row[j], float(g2_prod / g2_row[j])
         return column[i], column, p1, p2, self._kernel[i] / f2_t[j]
 
-    def coordinate_gradient(self, i: int, j: int) -> float:
-        """dCD2/dx_ij at the cached design (O(ns))."""
-        self._check_index(i, j)
-        factors = self._row_factors(i)
-        x, *terms = self._visit_terms(i, j, factors, factors[2].prod())
-        return _visit_slope(x, x - 0.5, *terms, self.n)
-
-    def zero_gradient_value(self, i: int, j: int, t_max: int = 1) -> float:
-        """x_ij solving dCD2/dx_ij = 0 with the sign terms frozen, clamped into [0, 1].
-
-        Runs the stationarity recursion ``t_max`` times from the current x_ij
-        (one step is normally sufficient), from cached state in O(ns).
-        """
-        self._check_index(i, j)
-        _check_count("t_max", t_max)
-        factors = self._row_factors(i)
-        terms = self._visit_terms(i, j, factors, factors[2].prod())
-        return _zero_gradient_recursion(*terms, self.n, t_max)
-
     def gradient_sweep(self, step_size: float) -> float:
         """One CGD epoch: x_ij -= step_size * dCD2/dx_ij at every (i, j), return CD2.
 
@@ -558,9 +538,10 @@ class DiscrepancyCache:
         )
 
     def zero_gradient_sweep(self, t_max: int = 1, guarded: bool = False) -> float:
-        """One CZG epoch: x_ij jumps to ``zero_gradient_value`` at every (i, j), return CD2.
+        """One CZG epoch: x_ij jumps to the zero of its frozen-sign slope at every (i, j), return CD2.
 
-        Visits the coordinates in row-major order with in-place updates.  With
+        Visits the coordinates in row-major order with in-place updates, each
+        solved by ``t_max`` steps of ``_zero_gradient_recursion``.  With
         ``guarded`` a visit that increases CD2 is rolled back.
         """
         _check_count("t_max", t_max)

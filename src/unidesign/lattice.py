@@ -43,7 +43,8 @@ def _check_shape(n: int, q: int, s: int) -> None:
 
 
 def _lattice_levels(levels, q: int) -> np.ndarray:
-    """``levels`` as a new 2-D int64 matrix; a non-finite, fractional or out-of-range entry raises."""
+    """``levels`` as a new 2-D int64 matrix; raises unless q is an integer >= 1 and each entry one in 1..q."""
+    _check_count("q", q)
     levels = np.asarray(levels)
     if levels.ndim != 2:
         raise ValueError("levels must be a 2-D integer matrix")
@@ -194,7 +195,6 @@ class TaConfig:
     probes: int = 100
     iterations_per_stage: int = 2000
     seed: int = 0
-    initial: UTypeDesign | None = None
 
     def __post_init__(self):
         _check_shape(self.n, self.q, self.s)
@@ -202,10 +202,6 @@ class TaConfig:
             raise ValueError("alpha must lie in (0, 1)")
         for name in ("stages", "probes", "iterations_per_stage"):
             _check_count(name, getattr(self, name))
-        if self.initial is not None:
-            ini = self.initial
-            if (ini.n, ini.q, ini.s) != (self.n, self.q, self.s):
-                raise ValueError("initial design shape does not match the config")
 
 
 @dataclass
@@ -231,10 +227,7 @@ def ta_optimize(config: TaConfig, schedule=None) -> TaResult:
     tests).
     """
     rng = np.random.default_rng(config.seed)
-    if config.initial is not None:
-        current = config.initial
-    else:
-        current = random_utype(config.n, config.q, config.s, rng)
+    current = random_utype(config.n, config.q, config.s, rng)
     cache = DiscrepancyCache(embed(current))
     if schedule is None:
         schedule = threshold_sequence(cache, config.alpha, config.stages, config.probes, rng)

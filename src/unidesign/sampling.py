@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .discrepancy import _check_count
 from .lattice import UTypeDesign, embed
 
 __all__ = ["lhd", "lhs", "mlhs"]
@@ -20,8 +21,8 @@ __all__ = ["lhd", "lhs", "mlhs"]
 
 def _column_draws(n: int, s: int, seed: int) -> list[tuple[np.random.Generator, np.ndarray]]:
     """Each column's child stream of ``seed``, with the permutation of 1..n it drew."""
-    if n < 1 or s < 1:
-        raise ValueError("n and s must be >= 1")
+    _check_count("n", n)
+    _check_count("s", s)
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(s)]
     return [(rng, rng.permutation(n) + 1) for rng in rngs]
 

@@ -3,20 +3,21 @@ refiners and a reference Kriging fit.
 
 These deliberately mirror the defining formulas with plain loops and stay
 independent of the vectorized/cached production paths they are used to check.
-The reference refiners visit one coordinate per public ``DiscrepancyCache``
-call, so the production refiners' row-blocked sweeps and one-pass CDFSS
-scoring must reproduce them bit for bit.  ``kernel_reference`` builds the
-pairwise kernel as whole n x n products, and the reference CD2, gradient
-matrix, coordinate gradient and zero-gradient solve build their own kernels,
-so the cache's row-blocked kernel, ``cd2``, ``cd2_gradient``,
-``DiscrepancyCache.coordinate_gradient`` and
-``DiscrepancyCache.zero_gradient_value`` must reproduce them bit for bit too.  ``preview_steps_reference`` builds
-whole n x n temporaries per column and direction, and
-``ta_optimize_reference`` previews every drawn swap exactly, so the
-row-blocked ``preview_steps`` and the screened ``ta_optimize`` must
-reproduce them bit for bit.  The reference Kriging fit solves
-every likelihood through scipy.linalg's checked wrappers and keeps no memo,
-so ``kriging_fit``'s direct LAPACK calls must reproduce it bit for bit.
+The CGD and CZG references build no cache: they move a plain design matrix one
+coordinate at a time, score each visit from row i's own kernel row and take CD2
+from scratch, so the cache's row-blocked sweeps must reproduce them bit for bit.
+The CDFSS reference makes one public ``DiscrepancyCache`` call per candidate, so
+the one-pass CDFSS scoring must reproduce it bit for bit.  ``kernel_reference``
+builds the pairwise kernel as whole n x n products, and the reference CD2,
+gradient matrix, coordinate gradient and zero-gradient solve build their own
+kernels, so the cache's row-blocked kernel, ``cd2``, ``cd2_gradient`` and the
+sweeps' per-visit slope and recursion must reproduce them bit for bit too.
+``preview_steps_reference`` builds whole n x n temporaries per column and
+direction, and ``ta_optimize_reference`` previews every drawn swap exactly, so
+the row-blocked ``preview_steps`` and the screened ``ta_optimize`` must
+reproduce them bit for bit.  The reference Kriging fit solves every likelihood
+through scipy.linalg's checked wrappers and keeps no memo, so ``kriging_fit``'s
+direct LAPACK calls must reproduce it bit for bit.
 """
 
 import numpy as np
@@ -224,14 +225,15 @@ def off_kink_design(n: int, s: int, seed: int, gap: float = 1e-3) -> np.ndarray:
     return np.column_stack([rng.choice(grid, size=n, replace=False) for _ in range(s)])
 
 
-def _reference_loop(cache, epoch, max_epochs, epsilon):
+def _reference_loop(state, epoch, max_epochs, epsilon):
     """Epoch loop of the refiners: best-so-far, |delta CD2| < epsilon, a design
     within 1e-9 (max-abs) of one of the 12 before it, max_epochs.  An epsilon
-    of 0 turns off the two tests.
+    of 0 turns off the two tests.  ``state()`` returns a copy of the current
+    design and its CD2.
 
     Returns ``(design, cd2, termination, [(step, cd2), ...])``.
     """
-    best_design, best_cd2 = cache.design, cache.cd2
+    best_design, best_cd2 = state()
     trace = [(0, best_cd2)]
     designs = [best_design]
     prev = best_cd2
@@ -239,8 +241,7 @@ def _reference_loop(cache, epoch, max_epochs, epsilon):
         reason = epoch()
         if reason is not None:
             return best_design, best_cd2, reason, trace
-        value = cache.cd2
-        design = cache.design
+        design, value = state()
         trace.append((step, value))
         if value < best_cd2:
             best_design, best_cd2 = design, value
@@ -257,35 +258,45 @@ def _clamp(v):
     return min(1.0, max(0.0, v))
 
 
-def cgd_reference(init, config=None):
-    """CGD as one ``coordinate_gradient`` and one ``update`` per visit."""
-    config = config or RefinerConfig()
-    cache = DiscrepancyCache(init)
+def _coordinate_descent_reference(init, config, rule, guarded=False):
+    """Row-major Gauss-Seidel epochs on a plain design matrix: x_ij = rule(x, i, j).
+
+    No cache: CD2 is ``cd2_kernel_reference`` of the whole design, after every
+    visit when ``guarded`` (a visit that raises it is undone), else once per epoch.
+    """
+    x = as_design_matrix(init).copy()
+    value = cd2_kernel_reference(x)
 
     def epoch():
-        for i in range(cache.n):
-            for j in range(cache.s):
-                g = cache.coordinate_gradient(i, j)
-                cache.update(i, j, _clamp(cache.value_at(i, j) - config.step_size * g))
+        nonlocal value
+        for i in range(x.shape[0]):
+            for j in range(x.shape[1]):
+                old, before = x[i, j], value
+                x[i, j] = rule(x, i, j)
+                if guarded:
+                    value = cd2_kernel_reference(x)
+                    if value > before:
+                        x[i, j], value = old, before
+        value = cd2_kernel_reference(x)
 
-    return _reference_loop(cache, epoch, config.max_epochs, config.epsilon)
+    return _reference_loop(lambda: (x.copy(), value), epoch, config.max_epochs, config.epsilon)
+
+
+def cgd_reference(init, config=None):
+    """CGD with each step from ``coordinate_gradient_reference``; builds no cache."""
+    config = config or RefinerConfig()
+    step = config.step_size
+    return _coordinate_descent_reference(
+        init, config, lambda x, i, j: _clamp(x[i, j] - step * coordinate_gradient_reference(x, i, j))
+    )
 
 
 def czg_reference(init, config=None):
-    """CZG as one ``zero_gradient_value`` and one ``update`` per visit (two if rolled back)."""
+    """CZG with each move from ``zero_gradient_solve_reference``; builds no cache."""
     config = config or RefinerConfig()
-    cache = DiscrepancyCache(init)
-
-    def epoch():
-        for i in range(cache.n):
-            for j in range(cache.s):
-                old = cache.value_at(i, j)
-                before = cache.cd2
-                after = cache.update(i, j, cache.zero_gradient_value(i, j, config.t_max))
-                if config.guarded and after > before:
-                    cache.update(i, j, old)
-
-    return _reference_loop(cache, epoch, config.max_epochs, config.epsilon)
+    return _coordinate_descent_reference(
+        init, config, lambda x, i, j: zero_gradient_solve_reference(x, i, j, config.t_max), config.guarded
+    )
 
 
 def cdfss_reference(init, config=None):
@@ -320,7 +331,7 @@ def cdfss_reference(init, config=None):
             cache.update(i, j, old)
             return "no_improving_move"
 
-    return _reference_loop(cache, epoch, config.max_epochs, 0.0)
+    return _reference_loop(lambda: (cache.design, cache.cd2), epoch, config.max_epochs, 0.0)
 
 
 def profiled_fit_reference(x, y, f, theta, nugget):
@@ -406,10 +417,7 @@ def ta_optimize_reference(config, schedule=None):
     trace steps and values bit for bit.
     """
     rng = np.random.default_rng(config.seed)
-    if config.initial is not None:
-        current = config.initial
-    else:
-        current = random_utype(config.n, config.q, config.s, rng)
+    current = random_utype(config.n, config.q, config.s, rng)
     cache = DiscrepancyCache(embed(current))
     if schedule is None:
         schedule = threshold_schedule_reference(cache, config.alpha, config.stages, config.probes, rng)

@@ -121,6 +121,11 @@ class TestScaleLattice:
         with pytest.raises(ValueError, match="levels must be integers"):
             scale_lattice([[bad], [2], [3]], (0.0, 1.0), q=3)
 
+    @pytest.mark.parametrize("q", [3.5, np.nan])
+    def test_plain_matrix_rejects_non_integer_q(self, q):
+        with pytest.raises(ValueError, match="q must be an integer >= 1"):
+            scale_lattice([[1], [2], [3]], (0.0, 1.0), q=q)
+
     def test_plain_matrix_skips_balance_check(self):
         # published tables sometimes repeat a level; scaling must still work
         levels = np.array([[1, 2], [2, 2]])

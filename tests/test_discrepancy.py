@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 from unidesign import DiscrepancyCache, cd2, cd2_gradient, lattice
-from unidesign.discrepancy import _BLOCK
+from unidesign.discrepancy import _BLOCK, _visit_slope, _zero_gradient_recursion
 from conftest import UD18X7_CD2, UD27X13_CD2
 from oracles import (
     cd2_gradient_reference,
@@ -136,6 +136,23 @@ def _kind_design(kind, n, s, rng):
 _SHAPES = [(1, 1), (1, 4), (3, 1), (2, 3), (5, 2), (9, 4), (18, 7), (27, 13)]
 
 
+def _visit(cache, i, j):
+    """x_ij and the rest of (i, j)'s terms, read from row i's factors as a sweep reads them."""
+    f = cache._row_factors(i)
+    return cache._visit_terms(i, j, f, f[2].prod())
+
+
+def _sweep_slope(cache, i, j):
+    """dCD2/dx_ij as a ``gradient_sweep`` visit computes it from the cache's state."""
+    x, *terms = _visit(cache, i, j)
+    return _visit_slope(x, x - 0.5, *terms, cache.n)
+
+
+def _sweep_zero(cache, i, j, t_max=1):
+    """The new x_ij a ``zero_gradient_sweep`` visit computes from the cache's state."""
+    return _zero_gradient_recursion(*_visit(cache, i, j), cache.n, t_max)
+
+
 class TestOneDerivative:
     """The cache's gradient and zero-gradient paths equal the oracles bit for bit."""
 
@@ -158,8 +175,8 @@ class TestOneDerivative:
                 for j in range(s):
                     for t_max in (1, 3):
                         expected = zero_gradient_solve_reference(x, i, j, t_max)
-                        assert cache.zero_gradient_value(i, j, t_max) == expected
-                    assert cache.coordinate_gradient(i, j) == coordinate_gradient_reference(x, i, j)
+                        assert _sweep_zero(cache, i, j, t_max) == expected
+                    assert _sweep_slope(cache, i, j) == coordinate_gradient_reference(x, i, j)
 
     def test_gradient_after_commits_matches_fresh(self):
         # swap commits rescale kernel rows, so the cached arrays carry
@@ -182,8 +199,7 @@ class TestOneDerivative:
         x = random_design(4, 3, seed=3)
         cache = DiscrepancyCache(x)
         before = _state(cache)
-        for call in (lambda: cache.value_at(i, j), lambda: cache.coordinate_gradient(i, j),
-                     lambda: cache.zero_gradient_value(i, j),
+        for call in (lambda: cache.value_at(i, j),
                      lambda: cache.preview_column_swap(i, 1, j),
                      lambda: cache.apply_column_swap(1, i, j)):
             with pytest.raises(IndexError):
@@ -541,7 +557,7 @@ class TestSwapDeltas:
 
 class TestZeroGradientSolve:
     def test_center_fixed_point(self):
-        assert DiscrepancyCache([[0.5]]).zero_gradient_value(0, 0) == 0.5
+        assert _sweep_zero(DiscrepancyCache([[0.5]]), 0, 0) == 0.5
 
     def test_stationarity_when_sign_pattern_stable(self):
         # if the solved value keeps the sign pattern of the start point, the
@@ -549,7 +565,7 @@ class TestZeroGradientSolve:
         x = off_kink_design(8, 3, seed=9)
         cache = DiscrepancyCache(x)
         for i, j in [(0, 0), (3, 1), (7, 2)]:
-            solved = cache.zero_gradient_value(i, j, t_max=1)
+            solved = _sweep_zero(cache, i, j, t_max=1)
             d_old = x[i, j] - 0.5
             d_new = solved - 0.5
             same_center_side = np.sign(d_old) == np.sign(d_new)
@@ -568,7 +584,7 @@ class TestZeroGradientSolve:
         x = np.full((3, 7), 0.95)
         x[0, 0] = 0.55
         x[2, 0] = 0.98
-        assert DiscrepancyCache(x).zero_gradient_value(0, 0) == 0.0
+        assert _sweep_zero(DiscrepancyCache(x), 0, 0) == 0.0
 
     def test_cache_variant_agrees(self):
         # after committed swaps and updates the cached recursion agrees with a fresh cache's
@@ -578,20 +594,7 @@ class TestZeroGradientSolve:
         cache.apply_column_swap(0, 8, 3)
         fresh = DiscrepancyCache(cache.design)
         for i, j in [(0, 0), (4, 2), (8, 3)]:
-            assert cache.zero_gradient_value(i, j, 2) == pytest.approx(
-                fresh.zero_gradient_value(i, j, 2), abs=1e-13
-            )
-
-    def test_validation(self):
-        cache = DiscrepancyCache([[0.5]])
-        with pytest.raises(IndexError):
-            cache.zero_gradient_value(1, 0)
-        with pytest.raises(ValueError):
-            cache.zero_gradient_value(0, 0, t_max=0)
-        for bad in (2.5, float("nan"), 3.0):
-            with pytest.raises(ValueError):
-                cache.zero_gradient_value(0, 0, t_max=bad)
-        assert cache.zero_gradient_value(0, 0, t_max=np.int32(2)) == 0.5
+            assert _sweep_zero(cache, i, j, 2) == pytest.approx(_sweep_zero(fresh, i, j, 2), abs=1e-13)
 
 
 def test_coordinate_gradient_matches_full_matrix():
@@ -599,6 +602,6 @@ def test_coordinate_gradient_matches_full_matrix():
     cache = DiscrepancyCache(x)
     full = cd2_gradient(x)
     per_coord = np.array(
-        [[cache.coordinate_gradient(i, j) for j in range(5)] for i in range(10)]
+        [[_sweep_slope(cache, i, j) for j in range(5)] for i in range(10)]
     )
     assert per_coord == pytest.approx(full, abs=1e-12)

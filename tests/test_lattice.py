@@ -256,16 +256,6 @@ class TestTaOptimize:
         assert all(b - a <= 1e-15 for a, b in zip(values, values[1:]))
         assert result.cd2 <= values[0]
 
-    def test_respects_supplied_initial(self):
-        initial = random_utype(6, 6, 3, seed=77)
-        config = small_config(initial=initial, iterations_per_stage=10)
-        result = ta_optimize(config)
-        assert result.trace.records[0].cd2 == pytest.approx(cd2(embed(initial)), abs=1e-14)
-
-    def test_initial_shape_checked(self):
-        with pytest.raises(ValueError):
-            small_config(initial=random_utype(4, 4, 3, seed=0))
-
     @pytest.mark.parametrize("name", ["stages", "probes", "iterations_per_stage", "n", "q", "s"])
     def test_counts_must_be_integers(self, name):
         # 2.5 and NaN used to pass and then fail with TypeError partway through a run

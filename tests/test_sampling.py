@@ -46,6 +46,14 @@ class TestLhd:
             UTypeDesign(np.array([[1, 1], [2, 1], [3, 3]]), q=3)
 
 
+@pytest.mark.parametrize("sampler", [lhd, lhs, mlhs])
+@pytest.mark.parametrize("n, s", [(3.5, 2), (float("nan"), 2), (2, 3.5), (2, float("nan"))])
+def test_samplers_reject_non_count_shapes(sampler, n, s):
+    # a fractional or NaN run or factor count is a ValueError, not a numpy error
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        sampler(n, s, seed=0)
+
+
 class TestPinnedStreams:
     """Sampler outputs recorded while ``lhd`` still had its own design type, compared exactly.
 
