@@ -17,9 +17,10 @@ A fit builds the n x n x s squared differences once; one likelihood evaluation
 is then O(n^2 s + n^3) arithmetic on them through direct LAPACK calls, and
 theta that clip to scales already solved are served from a per-fit memo.
 
-SciPy supplies those LAPACK routines and the Nelder-Mead search.  It is imported
-at the first fit, not with this module, so that importing the package and the
-``construct``, ``evaluate`` and ``sample`` commands load numpy alone.
+SciPy supplies those LAPACK routines from ``scipy.linalg``, imported at the first
+fit, so that the package and the ``construct``, ``evaluate`` and ``sample``
+commands load numpy alone.  The Nelder-Mead search is this module's own, on
+Python floats, and takes SciPy's steps bit for bit.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Literal
 
 import numpy as np
 
 from .benchfns import TestFunction, scale_design
-from .discrepancy import as_design_matrix
+from .discrepancy import _check_count, as_design_matrix
 
 __all__ = [
     "TrendBasis",
@@ -57,12 +59,69 @@ def _lapack_funcs() -> tuple:
     return get_lapack_funcs(("potrf", "trtrs", "geqrf", "orgqr"), dtype=float)
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported at its first call.  It stays an
-    attribute of this module, which ``kriging_fit`` looks up at each search, so
-    the theta search can be wrapped or traced as ``unidesign.surrogate.minimize``."""
-    from scipy.optimize import minimize
-    return minimize(*args, **kwargs)
+def _sorted(sim: list, fs: list) -> tuple[list, list]:
+    """Vertices and values in ``np.argsort`` order, so ties fall as SciPy's do."""
+    order = np.array(fs, dtype=float).argsort().tolist()
+    return [sim[i] for i in order], [fs[i] for i in order]
+
+
+def minimize(fun, x0, maxiter: int, xatol: float, fatol: float) -> SimpleNamespace:
+    """Nelder-Mead from ``x0``, bit for bit the steps, result and evaluation count
+    of ``scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options={"xatol":
+    xatol, "fatol": fatol, "maxiter": maxiter})``, plus one stop: a search whose
+    best value is inf after an iteration ends there, since a simplex of equal
+    values never meets the stopping test.  ``fun`` gets each vertex as a list of
+    floats that it must not modify.  Returns ``x``, ``fun`` and ``nfev``.
+
+    ``kriging_fit`` looks this up at each start, so the theta search can be
+    wrapped or traced as ``unidesign.surrogate.minimize``.
+    """
+    x0 = [float(v) for v in x0]
+    n = len(x0)
+    sim = [x0] + [x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1:]
+                  for k, v in enumerate(x0)]
+    sim, fs = _sorted(*_sorted(sim, [fun(v) for v in sim]))  # SciPy sorts twice here
+    nfev = n + 1
+    iterations = 1
+    # an inf best ends the search, tested where SciPy's callback runs: after each iteration
+    while iterations < maxiter and (iterations == 1 or fs[0] != np.inf):
+        best, worst = sim[0], sim[-1]
+        # fs is sorted, so its largest gap to fs[0] is the last; NaN fails both tests
+        if abs(fs[-1] - fs[0]) <= fatol and all(
+                abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, best)):
+            break
+        xbar = best
+        for v in sim[1:n]:
+            xbar = [a + b for a, b in zip(xbar, v)]
+        xbar = [a / n for a in xbar]
+        xr = [2.0 * c - w for c, w in zip(xbar, worst)]
+        fxr = fun(xr)
+        nfev += 1
+        if fxr < fs[0]:
+            xe = [3.0 * c - 2.0 * w for c, w in zip(xbar, worst)]
+            fxe = fun(xe)
+            nfev += 1
+            sim[-1], fs[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fs[-2]:
+            sim[-1], fs[-1] = xr, fxr
+        else:
+            outside = fxr < fs[-1]
+            if outside:
+                xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
+            else:
+                xc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
+            fxc = fun(xc)
+            nfev += 1
+            if fxc <= fxr if outside else fxc < fs[-1]:
+                sim[-1], fs[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
+                    fs[j] = fun(sim[j])
+                nfev += n
+        iterations += 1
+        sim, fs = _sorted(sim, fs)
+    return SimpleNamespace(x=np.array(sim[0]), fun=np.min(fs), nfev=nfev)
 
 
 def basis_matrix(points: np.ndarray, basis: str) -> np.ndarray:
@@ -83,15 +142,6 @@ def basis_matrix(points: np.ndarray, basis: str) -> np.ndarray:
 def _sq_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared coordinate differences, shape (len(a), len(b), s)."""
     return (a[:, None, :] - b[None, :, :]) ** 2
-
-
-def _lapack(routine, *args, **kwargs) -> list:
-    """Call a LAPACK routine; a nonzero info raises as scipy.linalg's wrappers do."""
-    *out, info = routine(*args, **kwargs)
-    if info:
-        error = np.linalg.LinAlgError if info > 0 else ValueError
-        raise error(f"{routine.__name__} returned info={info}")
-    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -134,31 +184,26 @@ def _profiled_fit(d2, y, f, theta, nugget):
     n, k = f.shape
     r = np.exp(-(d2 @ theta))
     r.reshape(-1)[:: n + 1] += nugget
-    [chol_l] = _lapack(potrf, r, lower=1, clean=1)
-    [ft] = _lapack(trtrs, chol_l, f, lower=1)
-    [yt] = _lapack(trtrs, chol_l, y, lower=1)
+    # r is symmetric, so r.T is r in Fortran order, factored in place
+    chol_l, info = potrf(r.T, lower=1, clean=1, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"potrf returned info={info}")
+    # L has a positive diagonal, so these two solves cannot fail
+    ft, _ = trtrs(chol_l, f, lower=1)
+    yt, _ = trtrs(chol_l, y, lower=1)
     lwork_qr, lwork_q = _qr_lwork(n, k)
-    qr, tau, _ = _lapack(geqrf, ft, lwork=lwork_qr)
+    qr, tau, _, _ = geqrf(ft, lwork=lwork_qr)
     g = qr[:k].copy()  # R on and above the diagonal; orgqr overwrites qr
-    q, _ = _lapack(orgqr, qr, tau, lwork=lwork_q, overwrite_a=1)
+    q, _, _ = orgqr(qr, tau, lwork=lwork_q, overwrite_a=1)
     # as solve_triangular(g, b) does for C-ordered g; trtrs reads only g's upper triangle
-    [beta] = _lapack(trtrs, g.T, q.T @ yt, lower=1, trans=1)
+    beta, info = trtrs(g.T, q.T @ yt, lower=1, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(f"trtrs returned info={info}")
     rho = yt - ft @ beta
     sigma2 = float(rho @ rho) / n
-    logdet = 2.0 * float(np.log(chol_l.diagonal()).sum())
+    logdet = 2.0 * float(np.add.reduce(np.log(chol_l.diagonal())))
     nll = n * np.log(max(sigma2, 1e-300)) + logdet
     return chol_l, beta, rho, sigma2, nll
-
-
-def _stop_if_hopeless(intermediate_result) -> None:
-    """Nelder-Mead callback: end a start whose whole simplex is inf.
-
-    Such a start has found no scales whose correlation matrix factors, and a
-    simplex of equal values never meets the search's stopping test, so it
-    would wander for all ``maxiter`` iterations.
-    """
-    if intermediate_result.fun == np.inf:
-        raise StopIteration
 
 
 def kriging_fit(
@@ -179,9 +224,9 @@ def kriging_fit(
     generalized least squares model at those scales.
 
     Raises ``ValueError`` before any solve: for NaN or inf in ``y``, a
-    non-finite or non-positive ``theta``, ``theta_bounds`` not finite with
-    0 < low < high, a ``nugget`` not finite and >= 0, duplicate training rows
-    (singular correlation) or n <= trend size (underdetermined GLS).
+    non-finite or non-positive ``theta``, ``theta_bounds`` not a finite pair
+    with 0 < low < high, a ``nugget`` not finite and >= 0, duplicate training
+    rows (singular correlation) or n <= trend size (underdetermined GLS).
     """
     x = as_design_matrix(design)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -191,8 +236,8 @@ def kriging_fit(
     bad = np.count_nonzero(~np.isfinite(y))
     if bad:
         raise ValueError(f"y has {bad} non-finite value(s)")
-    if not 0 < theta_bounds[0] < theta_bounds[1] < np.inf:  # NaN fails every comparison
-        raise ValueError("theta_bounds must be finite and positive with low < high")
+    if np.shape(theta_bounds) != (2,) or not 0 < theta_bounds[0] < theta_bounds[1] < np.inf:  # NaN fails
+        raise ValueError("theta_bounds must be a finite positive pair with low < high")
     if not 0 <= nugget < np.inf:
         raise ValueError(f"nugget must be finite and >= 0, got {nugget}")
     if theta is not None:
@@ -201,25 +246,27 @@ def kriging_fit(
             raise ValueError(f"theta must be {s} finite positive scales")
     if len(np.unique(x, axis=0)) != n:
         raise ValueError("duplicate training rows make the correlation matrix singular")
-    f = basis_matrix(x, basis)
+    f = np.asfortranarray(basis_matrix(x, basis))  # LAPACK's order: no transpose per solve
     if n <= f.shape[1]:
         raise ValueError(
             f"need n > {f.shape[1]} runs for the {basis} trend, got n={n}"
         )
 
     d2 = _sq_diff(x, x)
-    lb, ub = np.log(theta_bounds[0]), np.log(theta_bounds[1])
+    lb, ub = float(np.log(theta_bounds[0])), float(np.log(theta_bounds[1]))
     solved = {}  # profiled NLL by clipped scales: out-of-box points repeat them
 
-    def nll_at(log_theta: np.ndarray) -> float:
-        scales = np.exp(np.clip(log_theta, lb, ub))
+    def nll_at(log_theta) -> float:
+        scales = np.exp([lb if v < lb else ub if v > ub else v for v in log_theta])
         key = scales.tobytes()
-        if key not in solved:
+        nll = solved.get(key)
+        if nll is None:
             try:
-                solved[key] = _profiled_fit(d2, y, f, scales, nugget)[4]
+                nll = float(_profiled_fit(d2, y, f, scales, nugget)[4])
             except np.linalg.LinAlgError:
-                solved[key] = np.inf
-        return solved[key]
+                nll = np.inf
+            solved[key] = nll
+        return nll
 
     if theta is None:
         best_log_theta = None
@@ -228,14 +275,7 @@ def kriging_fit(
             start = np.full(s, np.log(t0))
             for cand in (start, None):
                 if cand is None:
-                    res = minimize(
-                        nll_at,
-                        start,
-                        method="Nelder-Mead",
-                        options={"xatol": 1e-4, "fatol": 1e-10, "maxiter": 400 * s},
-                        callback=_stop_if_hopeless,
-                    )
-                    cand = res.x
+                    cand = minimize(nll_at, start, 400 * s, xatol=1e-4, fatol=1e-10).x
                 val = nll_at(cand)
                 if val < best_nll:
                     best_nll = val
@@ -245,7 +285,7 @@ def kriging_fit(
         theta = np.exp(best_log_theta)
     chol_l, beta, rho, sigma2, nll = _profiled_fit(d2, y, f, theta, nugget)
     # gamma solves R gamma = y - F beta, as solve_triangular(chol_l.T, rho) does
-    [gamma] = _lapack(_lapack_funcs()[1], chol_l, rho, lower=1, trans=1)
+    gamma, _ = _lapack_funcs()[1](chol_l, rho, lower=1, trans=1)
     return KrigingModel(
         x_train=x.copy(),
         y_train=y.copy(),
@@ -304,8 +344,7 @@ def evaluate_mse(
     """
     x = as_design_matrix(design)
     if test_points is None:
-        if num_test_points < 1:
-            raise ValueError("num_test_points must be >= 1")
+        _check_count("num_test_points", num_test_points)
         rng = np.random.default_rng(seed)
         test_points = rng.random((num_test_points, x.shape[1]))
     test_points = np.atleast_2d(np.asarray(test_points, dtype=float))

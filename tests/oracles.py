@@ -16,8 +16,9 @@ sweeps' per-visit slope and recursion must reproduce them bit for bit too.
 direction, and ``ta_optimize_reference`` previews every drawn swap exactly, so
 the row-blocked ``preview_steps`` and the screened ``ta_optimize`` must
 reproduce them bit for bit.  The reference Kriging fit solves every likelihood
-through scipy.linalg's checked wrappers and keeps no memo, so ``kriging_fit``'s
-direct LAPACK calls must reproduce it bit for bit.
+through scipy.linalg's checked wrappers, keeps no memo and searches with
+SciPy's Nelder-Mead, so ``kriging_fit``'s direct LAPACK calls and in-module
+search must reproduce it bit for bit.
 """
 
 import numpy as np

@@ -81,7 +81,7 @@ def test_cli_commands_run_without_scipy_until_the_first_fit(tmp_path):
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["before"] == []
-    assert {"scipy.linalg", "scipy.optimize"} <= set(got["after"])
+    assert "scipy.linalg" in got["after"] and "scipy.optimize" not in got["after"]
     x = mlhs(12, 2, seed=3)
     model = unidesign.kriging_fit(x, np.sin(5.0 * x).sum(axis=1), "poly1")
     assert bytes.fromhex(got["theta"]) == model.theta.tobytes()

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
 from unidesign import (
     TaConfig,
@@ -95,6 +96,8 @@ class TestKrigingFit:
         pytest.param({"theta_bounds": (1e-2, np.nan)}, "theta_bounds", id="bounds-high-nan"),
         pytest.param({"theta_bounds": (1e-2, np.inf)}, "theta_bounds", id="bounds-high-inf"),
         pytest.param({"theta_bounds": (1.0, 1.0)}, "theta_bounds", id="bounds-empty"),
+        pytest.param({"theta_bounds": (1e-2,)}, "theta_bounds", id="bounds-one-value"),
+        pytest.param({"theta_bounds": (1e-2, 1.0, 1e2)}, "theta_bounds", id="bounds-three-values"),
         pytest.param({"nugget": np.nan}, "nugget", id="nugget-nan"),
         pytest.param({"nugget": np.inf}, "nugget", id="nugget-inf"),
         pytest.param({"nugget": -1.0}, "nugget", id="nugget-negative"),
@@ -248,6 +251,50 @@ def test_repeated_clipped_theta_is_solved_once(monkeypatch):
     assert model.log_likelihood == kriging_fit_reference(x, y, "poly0").log_likelihood
 
 
+def _objective(g):
+    """``g`` on a float array, for SciPy's array vertices and the search's float lists."""
+    return lambda v: g(np.asarray(v, dtype=float))
+
+
+SEARCHES = {
+    "rosenbrock": (_objective(lambda x: 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2),
+                   [-1.2, 1.0]),
+    "weighted-quadratic": (_objective(lambda x: np.sum(np.arange(1.0, 6.0)
+                                                       * (x - [1.0, -1.0, 0.5, 2.0, 0.0]) ** 2)),
+                           [0.0, 1.0, -2.0, 0.5, 3.0]),
+    "clipped-plateau": (_objective(lambda x: np.sum(np.clip(x, -1.0, 1.0) ** 2)), [3.0, -2.5, 4.0]),
+    "steps-with-ties": (_objective(lambda x: np.floor(4.0 * x[0]) + np.floor(4.0 * x[1]) ** 2),
+                        [1.3, -0.7]),
+    # x0 and its first vertex tie above a tie of the other two, an order that
+    # numpy's argsort can reorder and a stable sort keeps
+    "tied-floors": (_objective(lambda x: np.sum(np.floor((x - [0.0, 3.0, 3.0]) ** 2))),
+                    [1.0, 0.96, 0.96]),
+    "inf-below-half": (_objective(lambda x: np.inf if x[0] < 0.5 else (x[0] - 1.0) ** 2 + x[1] ** 2),
+                       [0.49, 1.0]),
+    "all-inf": (_objective(lambda x: np.inf), [1.0, 2.0]),
+    "one-dimensional": (_objective(lambda x: np.abs(x[0] - 2.0) ** 1.5), [0.0]),
+    # its ripples make an outside contraction worse than the reflection, then a shrink
+    "rippled-bowl": (_objective(lambda x: np.sum(x ** 2 + 0.3 * np.sin(30.0 * x) ** 2)), [1.5, -2.0]),
+}
+
+
+@pytest.mark.parametrize("maxiter", [5, 60, 1600])
+@pytest.mark.parametrize("name", SEARCHES)
+def test_search_takes_scipys_nelder_mead_steps(name, maxiter):
+    # SciPy passes the iteration's result only to a parameter of this name
+    def stop_if_hopeless(intermediate_result):
+        if intermediate_result.fun == np.inf:
+            raise StopIteration
+
+    fun, x0 = SEARCHES[name]
+    got = surrogate.minimize(fun, np.array(x0), maxiter, xatol=1e-4, fatol=1e-10)
+    want = scipy_minimize(fun, np.array(x0), method="Nelder-Mead", callback=stop_if_hopeless,
+                          options={"xatol": 1e-4, "fatol": 1e-10, "maxiter": maxiter})
+    assert got.x.tobytes() == want.x.tobytes()
+    assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
+    assert got.nfev == want.nfev
+
+
 class TestKrigingPredict:
     def test_far_extrapolation_reverts_to_trend(self):
         x, y = training_set()
@@ -335,6 +382,8 @@ class TestEvaluateMse:
 
     @pytest.mark.parametrize("kwargs", [
         {"num_test_points": 0},
+        {"num_test_points": 2.5},
+        {"num_test_points": np.nan},
         {"test_points": np.zeros((5, 3))},
         {"test_points": [[0.5, np.nan, 0.5, 0.5], [0.2, 0.3, 0.4, 0.5]]},
     ])
