@@ -121,13 +121,21 @@ def _write_projections_csv(path: str, design: np.ndarray) -> None:
                     writer.writerow([a, b, f"{design[i, a]:.17g}", f"{design[i, b]:.17g}"])
 
 
-def _check_writable(*paths) -> None:
-    """Raise OSError unless every given output path can be opened for writing.
+def _check_writable(**paths) -> None:
+    """Raise OSError unless every output path, keyed by its flag, can be opened for writing.
 
     Called before any work, so that a bad path neither wastes a run nor leaves
-    some outputs written without the others.  Leaves every file as it was.
+    some outputs written without the others.  Two flags that name one file
+    raise ValueError, since the later write would overwrite the earlier.
+    Leaves every file as it was.
     """
-    for path in filter(None, paths):
+    flags = {}
+    for flag, path in paths.items():
+        if not path:
+            continue
+        other = flags.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise ValueError(f"--{other} and --{flag} both name {path}")
         existed = os.path.exists(path)
         with open(path, "a"):
             pass
@@ -201,7 +209,8 @@ def _cmd_construct(args, argv) -> int:
     for name in ("n", "q", "s") if from_ta else ("init",):
         if getattr(args, name) in (None, ""):
             raise ValueError(f"--algo {args.algo} requires --{name}")
-    _check_writable(args.out, args.trace, args.projections, args.manifest)
+    _check_writable(out=args.out, trace=args.trace, projections=args.projections,
+                    manifest=args.manifest)
     if from_ta:
         ta_config = TaConfig(
             n=args.n, q=args.q, s=args.s, alpha=args.alpha, stages=args.stages,
@@ -251,7 +260,7 @@ def _cmd_sample(args, argv) -> int:
     t0 = time.perf_counter()
     if args.kind == "utype" and args.q is None:
         raise ValueError("--kind utype requires --q")
-    _check_writable(args.out, args.manifest)
+    _check_writable(out=args.out, manifest=args.manifest)
     draw, integer = _SAMPLERS[args.kind]
     matrix = draw(args)
     write_matrix_csv(args.out, matrix, integer=integer)
@@ -272,7 +281,7 @@ def _cmd_bench(args, argv) -> int:
     known = get_args(TrendBasis)
     if not bases or not set(bases) <= set(known):
         raise ValueError(f"--basis must be a comma list of {', '.join(known)}, got {args.basis!r}")
-    _check_writable(args.out)
+    _check_writable(out=args.out)
 
     if args.design:
         designs = [read_design_csv(args.design)]

@@ -11,27 +11,8 @@ with the two kernels
     f2(a, b) = 1 + |a - 1/2|/2 + |b - 1/2|/2 - |a - b|/2.
 
 Both kernels are >= 1 everywhere on [0,1], which keeps every divide in the
-incremental paths well conditioned.
-
-``DiscrepancyCache`` holds the design column by column (s x n), the per-row f1
-products and the full pairwise f2 kernel so that changing one coordinate
-re-evaluates CD2 after recomputing a single kernel row/column.  Preview methods
-score a candidate change without mutating the cache.  One function, ``_moved_row``,
-rebuilds a moved coordinate's kernel row from the design for ``update``,
-``preview_update`` and both sweeps, so a move never drifts from a from-scratch
-evaluation; a column swap is committed in O(n) by rescaling two kernel rows, and
-``resum`` clears the round-off such commits leave in the sums.  The coordinate
-refiners run whole epochs inside the cache: ``gradient_sweep`` and
-``zero_gradient_sweep`` are row-blocked Gauss-Seidel passes (guarded CZG undoes a
-rejected visit by committing the old value again) whose visits read their terms from
-one builder, ``_visit_terms``, and their slope from ``_visit_slope``; ``preview_steps``
-scores every fixed-step move in one pass, and ``gradient`` applies the written-out
-partial derivative, ``_slope``, to every coordinate.
-The kernel build, ``gradient`` and ``preview_steps`` run over contiguous columns in
-32-row blocks (``_BLOCK``), make no n x n temporaries and form f2 in five array
-operations (``_f2_rows``); the last two share one pass of half leave-one-out kernel
-blocks (``_half_loo_blocks``).  The build mirrors each unordered pair of rows, and
-every result is bit for bit that of whole-matrix products.
+incremental paths well conditioned.  ``cd2`` and ``cd2_gradient`` evaluate through a
+``DiscrepancyCache``, which also serves the optimizers' moves; its docstring says how.
 """
 
 from __future__ import annotations
@@ -212,27 +193,28 @@ class DiscrepancyCache:
 
     Holds the design column by column (s x n, beside |x - 1/2|), its per-row
     f1 products, the symmetric pairwise f2 kernel and the current CD2 value.
-    ``_commit`` is the one writer of a coordinate move, and ``_moved_row`` the
-    one builder of a moved kernel row, from the design (no multiplicative
-    deltas, so repeated updates cannot drift).  ``update`` is a commit, O(ns),
-    plus an O(n^2) re-sum.  The ``preview_*`` methods score candidate changes in
-    O(n) / O(ns) without mutating any state.  ``apply_column_swap`` commits a
-    swap in O(n) from its preview's terms and returns exactly the previewed
-    value; its sums carry round-off from one commit to the next, which ``resum``
-    (O(n^2) additions) clears.  Threshold accepting calls ``resum`` at the end of every stage.
 
-    ``gradient_sweep`` and ``zero_gradient_sweep`` run one refiner epoch and leave
-    every array and value exactly as one ``update`` per visit would; each visit reads
-    its terms from row i's s x n f2 factors (``_visit_terms``).  A visit is O(ns) elementwise
-    numpy work in a few calls, and an unguarded sweep re-sums once per epoch (O(n^2));
-    guarded CZG re-sums after every visit and undoes a rejected one by committing
-    the old value again.  ``preview_steps`` (all 2ns fixed-step moves), the kernel
-    build and ``gradient`` (all ns derivatives) are O(n^2 s) passes in ``_BLOCK`` = 32-row
-    blocks with O(32 n) scratch; the build forms f2 from halved columns, and the other two
-    share the blocks kernel / (2 f2) of ``_half_loo_blocks``.  ``gradient`` weighs pairs by
-    sgn(x_ij - 1/2) - copysign(1, x_ij - x_kj), ties reset.  ``_swap_deltas``
-    scores K swaps in one O(Kn) pass, to round-off of ``preview_column_swap``, for threshold
-    accepting's screen; ``_near`` keeps the batch scores that need an exact preview.
+    Coordinate moves: ``_commit`` is the one writer, and ``_moved_row`` the one
+    builder of a moved kernel row, from the design (no multiplicative deltas, so
+    repeated moves cannot drift from a fresh build).  ``update`` is a commit, O(ns),
+    plus an O(n^2) re-sum, and ``preview_update`` scores one in O(ns) without mutating
+    any state.  ``sweep`` runs a refiner's epoch of commits and leaves every array and
+    value exactly as one ``update`` per visit would.
+
+    Column swaps: ``preview_column_swap`` scores one in O(n), and ``apply_column_swap``
+    commits it from the preview's terms and returns exactly the previewed value; its
+    sums carry round-off from one commit to the next, which ``resum`` (O(n^2)
+    additions) clears.  ``_swap_deltas`` scores K swaps in one O(Kn) pass, to round-off
+    of the preview, for threshold accepting's screen; ``_near`` keeps the batch scores
+    that need an exact preview.
+
+    Batch passes: the kernel build, ``gradient`` (all ns derivatives) and
+    ``preview_steps`` (all 2ns fixed-step moves) are O(n^2 s) passes over contiguous
+    columns in ``_BLOCK`` = 32-row blocks, with O(32 n) scratch and no n x n
+    temporaries, forming f2 in five array operations (``_f2_rows``).  The build
+    mirrors each unordered pair of rows, and the other two share the half leave-one-out
+    blocks kernel / (2 f2) of ``_half_loo_blocks``; every result is bit for bit that
+    of whole-matrix products.
 
     Single-writer: concurrent mutation is not supported.
     """
@@ -525,39 +507,18 @@ class DiscrepancyCache:
         p1, p2 = self._rp[i] / f1_row[j], float(g2_prod / g2_row[j])
         return column[i], column, p1, p2, self._kernel[i] / f2_t[j]
 
-    def gradient_sweep(self, step_size: float) -> float:
-        """One CGD epoch: x_ij -= step_size * dCD2/dx_ij at every (i, j), return CD2.
+    def sweep(self, rule, guarded: bool = False) -> float:
+        """One refiner epoch: x_ij = rule(*terms) at every (i, j) in row-major order, return CD2.
 
-        Visits the coordinates in row-major order with in-place updates and
-        clamps each new value into [0, 1]; see ``_sweep`` for the cost.
-        """
-        if not 0.0 <= step_size < np.inf:
-            raise ValueError(f"step_size must be finite and >= 0, got {step_size!r}")
-        return self._sweep(
-            lambda x, *terms: min(1.0, max(0.0, x - step_size * _visit_slope(x, x - 0.5, *terms, self.n)))
-        )
-
-    def zero_gradient_sweep(self, t_max: int = 1, guarded: bool = False) -> float:
-        """One CZG epoch: x_ij jumps to the zero of its frozen-sign slope at every (i, j), return CD2.
-
-        Visits the coordinates in row-major order with in-place updates, each
-        solved by ``t_max`` steps of ``_zero_gradient_recursion``.  With
-        ``guarded`` a visit that increases CD2 is rolled back.
-        """
-        _check_count("t_max", t_max)
-        return self._sweep(
-            lambda *terms: _zero_gradient_recursion(*terms, self.n, t_max), guarded
-        )
-
-    def _sweep(self, rule, guarded: bool = False) -> float:
-        """Row-blocked Gauss-Seidel pass: x_ij = rule(*self._visit_terms(i, j, ...)) at every (i, j).
-
-        Builds row i's ``_row_factors`` once, and every visit of the row reads its terms
-        from them and ``_commit`` writes the move from them as ``update`` does: O(ns)
-        elementwise work in a few numpy calls.  An unguarded pass re-sums once at the
-        end (O(n^2)); a guarded one re-sums after every visit, because it compares CD2
-        there, and undoes a rejected visit by committing the old value again and
-        restoring the three sums.
+        A Gauss-Seidel pass: the terms are ``_visit_terms`` at the partially updated
+        design (x_ij, column j, and the leave-one-out p1, p2 and kernel row), and the
+        rule returns the new x_ij in [0, 1].  With ``guarded`` a visit that increases
+        CD2 is rolled back.  Row i's ``_row_factors`` are built once; each visit reads
+        its terms from them and ``_commit`` writes its move from them, O(ns) elementwise
+        work in a few numpy calls.  An unguarded pass re-sums once at the end (O(n^2));
+        a guarded one re-sums after every visit, because it compares CD2 there, and
+        undoes a rejected visit by committing the old value again and restoring the
+        three sums.
         """
         xt, kernel = self._xt, self._kernel
         for i in range(self.n):

@@ -118,12 +118,12 @@ def _draw_swaps(rng: np.random.Generator, n: int, s: int, size: int):
     return cols, rows1, rows2
 
 
-# Screened TA: after _SCREEN_AFTER straight rejects a stage scores its next K =
-# min(4 * rejects, _SCREEN_MAX_BLOCK, _SCREEN_ELEMENTS // 2n) swaps in one pass (K x 2 x n
-# arrays, <= 16 KB) and previews only those the cache's ``_near`` keeps, the swaps within
-# its screen tolerance of the threshold.  Blocks under _SCREEN_MIN_BLOCK (n > 64) do not
-# repay the screen's per-call cost and are not used.
-_SCREEN_AFTER, _SCREEN_MIN_BLOCK, _SCREEN_MAX_BLOCK, _SCREEN_ELEMENTS = 4, 16, 256, 2048
+# Screened TA: with ``rejects`` swaps taken since the design last changed, a stage scores
+# its next K = min(4 * rejects, _SCREEN_ELEMENTS // 2n) swaps in one pass (K x 2 x n arrays,
+# <= 16 KB) and previews only those the cache's ``_near`` keeps, the swaps within its screen
+# tolerance of the threshold.  Blocks under _SCREEN_MIN_BLOCK (fewer than 4 rejects, or
+# n > 64) do not repay the screen's per-call cost and are not used.
+_SCREEN_MIN_BLOCK, _SCREEN_ELEMENTS = 16, 2048
 
 
 def threshold_sequence(
@@ -218,13 +218,13 @@ def ta_optimize(config: TaConfig, schedule=None) -> TaResult:
     from-scratch CD2.  The trace records the initial value and the CD2 after
     every accepted move.  Each swap is scored and committed in O(n) by the
     cache, which re-sums its kernel at the end of every stage.  Swaps are
-    screened in blocks (see ``_SCREEN_AFTER``); only those that the cache's
-    ``_near`` keeps get the exact preview, which decides and commits, so
-    designs, ``cd2`` and trace are those of previewing every swap.  The
-    cache is released before the final CD2 builds a kernel of its own.
-    Bit-reproducible for a fixed config.  ``schedule`` overrides the
-    data-driven threshold sequence (used for forcing pure local search in
-    tests).
+    screened K = min(4 * rejects, _SCREEN_ELEMENTS // 2n) at a time whenever
+    K >= _SCREEN_MIN_BLOCK; only those that the cache's ``_near`` keeps get
+    the exact preview, which decides and commits, so designs, ``cd2`` and
+    trace are those of previewing every swap.  The cache is released before
+    the final CD2 builds a kernel of its own.  Bit-reproducible for a fixed
+    config.  ``schedule`` overrides the data-driven threshold sequence (used
+    for forcing pure local search in tests).
     """
     rng = np.random.default_rng(config.seed)
     current = random_utype(config.n, config.q, config.s, rng)
@@ -242,15 +242,16 @@ def ta_optimize(config: TaConfig, schedule=None) -> TaResult:
     if config.n < 2:
         return TaResult(UTypeDesign(best_levels, config.q), best_cd2, trace)
 
-    max_block = min(_SCREEN_MAX_BLOCK, _SCREEN_ELEMENTS // (2 * config.n))
+    cap = _SCREEN_ELEMENTS // (2 * config.n)
     for stage, threshold in enumerate(schedule):
         cols, rows1, rows2 = _draw_swaps(rng, config.n, config.s, config.iterations_per_stage)
         t = rejects = 0  # swaps of this stage taken, and those since the design last changed
         while t < len(cols):
-            if rejects < _SCREEN_AFTER or max_block < _SCREEN_MIN_BLOCK:
+            block = min(4 * rejects, cap)
+            if block < _SCREEN_MIN_BLOCK:
                 end, passing = t + 1, (t,)
             else:
-                end = min(len(cols), t + min(4 * rejects, max_block))
+                end = min(len(cols), t + block)
                 deltas = cache._swap_deltas(rows1[t:end], rows2[t:end], cols[t:end])
                 passing = (t + cache._near(deltas, threshold)).tolist()
             for i in passing:

@@ -27,10 +27,11 @@ Every run ends for one stated reason, its ``termination``:
 The paper's pipeline, as ``construct`` runs it, starts a refiner from threshold
 accepting's best lattice design: ``cgd(embed(ta_optimize(ta_config).design))``.
 
-Cost per epoch: a CGD or unguarded CZG sweep visit is O(ns) elementwise work
-in a few numpy calls on the active row's f2 factors, plus one O(n^2) re-sum
-per epoch; guarded CZG re-sums after every visit.  CDFSS scores its 2ns moves
-in one O(n^2 s) pass per epoch and confirms the best with ``preview_update``.
+CGD and CZG state their visit rule here and run each epoch as one
+``DiscrepancyCache.sweep`` of it: O(ns) elementwise work per visit, plus one
+O(n^2) re-sum per epoch (guarded CZG re-sums after every visit).  CDFSS scores
+its 2ns moves in one O(n^2 s) pass per epoch and confirms the best with
+``preview_update``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from .discrepancy import DiscrepancyCache, _check_count
+from .discrepancy import DiscrepancyCache, _check_count, _visit_slope, _zero_gradient_recursion
 from .lattice import OptimizationTrace
 
 __all__ = [
@@ -151,9 +152,10 @@ def cgd(init, config: RefinerConfig | None = None) -> RefineResult:
     """
     config = config or RefinerConfig()
     cache = DiscrepancyCache(init)
+    h, n = config.step_size, cache.n
 
     def epoch():
-        cache.gradient_sweep(config.step_size)
+        cache.sweep(lambda x, *terms: min(1.0, max(0.0, x - h * _visit_slope(x, x - 0.5, *terms, n))))
 
     return _loop(cache, epoch, config.max_epochs, config.epsilon)
 
@@ -168,9 +170,10 @@ def czg(init, config: RefinerConfig | None = None) -> RefineResult:
     """
     config = config or RefinerConfig()
     cache = DiscrepancyCache(init)
+    n, t_max = cache.n, config.t_max
 
     def epoch():
-        cache.zero_gradient_sweep(config.t_max, config.guarded)
+        cache.sweep(lambda *terms: _zero_gradient_recursion(*terms, n, t_max), config.guarded)
 
     return _loop(cache, epoch, config.max_epochs, config.epsilon)
 
@@ -193,14 +196,12 @@ def cdfss(init, config: RefinerConfig | None = None) -> RefineResult:
     def epoch():
         base = cache.cd2
         targets, values = cache.preview_steps(steps)
-        lowest = values.min()
-        if lowest == np.inf:
-            return "no_improving_move"
         best_move = None
         best_val = base
         # re-score each move near the best one-pass score, to commit exactly the move a
-        # preview_update of every candidate would pick; flat indices run in (i, j, +, -) order
-        for k in cache._near(values, lowest):
+        # preview_update of every candidate would pick; flat indices run in (i, j, +, -) order.
+        # When every move is a clamped no-op all are kept, and each previews to ``base``
+        for k in cache._near(values, values.min()):
             i, j, d = np.unravel_index(k, values.shape)
             v = targets[i, j, d]
             candidate = cache.preview_update(i, j, v)

@@ -339,7 +339,7 @@ def evaluate_mse(
     ``num_test_points`` uniform points in the bounds (drawn with ``seed``).
     Returns (mse, rmse).  ``test_points`` overrides the drawn unit-cube test
     set (harness hook; e.g. re-scoring at the training points).  A bad test
-    set (too few points, the wrong width, NaN or inf) raises ``ValueError``
+    set (no points, the wrong width, NaN or inf) raises ``ValueError``
     before the fit.
     """
     x = as_design_matrix(design)
@@ -350,6 +350,8 @@ def evaluate_mse(
     test_points = np.atleast_2d(np.asarray(test_points, dtype=float))
     if test_points.shape[1] != x.shape[1]:
         raise ValueError(f"test_points must have {x.shape[1]} columns, got {test_points.shape[1]}")
+    if len(test_points) == 0:
+        raise ValueError("test_points must hold at least one point")
     bad = np.count_nonzero(~np.isfinite(test_points))
     if bad:
         raise ValueError(f"test_points have {bad} non-finite value(s)")

@@ -88,6 +88,11 @@ class TestScaleDesign:
         with pytest.raises(ValueError, match="finite"):
             scale_design(np.array([[0.25, 0.5]]), bounds)
 
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0, 2.0), [(0.0, 1.0)] * 3, [[0.0], [1.0]]])
+    def test_wrongly_shaped_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="pair"):
+            scale_design(np.array([[0.25, 0.5]]), bounds)
+
 
 class TestScaleLattice:
     def lattice(self, q):

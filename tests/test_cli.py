@@ -292,6 +292,11 @@ class TestConstruct:
         write_matrix_csv(str(path), x)
         assert np.array_equal(read_design_csv(str(path)), x)
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("\n0.25,0.5\n\n  \n0.75,1\n\n")
+        assert read_design_csv(str(path)).tolist() == [[0.25, 0.5], [0.75, 1.0]]
+
 
 class TestBench:
     def test_const_self_test(self, capsys, tmp_path):
@@ -424,6 +429,42 @@ def test_unwritable_output_exit_2(capsys, tmp_path, argv, flag):
     assert str(path) in err
     # every output path is checked before any work, so nothing is written
     assert list(tmp_path.iterdir()) == []
+
+
+_REFINE_INIT = ["construct", "--algo", "cgd", "--init", "{init}", "--max-epochs", "2"]
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (_REFINE_INIT, ("--out", "--trace")),
+    (_REFINE_INIT, ("--out", "--manifest")),
+    (_TINY_TA, ("--trace", "--projections")),
+    (_TINY_SAMPLE, ("--out", "--manifest")),
+], ids=["construct-out-trace", "construct-out-manifest", "construct-trace-projections",
+        "sample-out-manifest"])
+def test_coinciding_outputs_exit_2(capsys, tmp_path, argv, flags):
+    init = tmp_path / "d.csv"
+    write_matrix_csv(str(init), np.random.default_rng(5).random((4, 2)))
+    target = tmp_path / "o.csv"
+    target.write_text("kept\n")
+    # the second flag spells the same file another way
+    paths = [str(target), f"{tmp_path}/./o.csv"]
+    out = [] if "--out" in flags else ["--out", str(tmp_path / "x.csv")]
+    argv = [a.format(init=init) for a in argv]
+    code, _, err = run(capsys, *argv, *out, *(a for pair in zip(flags, paths) for a in pair))
+    assert code == 2
+    assert all(flag in err for flag in flags)
+    assert target.read_text() == "kept\n"
+    assert sorted(tmp_path.iterdir()) == [init, target]
+
+
+def test_init_may_be_the_out_path(capsys, tmp_path):
+    # the start design is read before anything is written
+    design = tmp_path / "d.csv"
+    write_matrix_csv(str(design), read_design_csv(str(FIXTURES / "ud18x7.csv")))
+    code, stdout, _ = run(capsys, "construct", "--algo", "cgd", "--init", str(design),
+                          "--max-epochs", "2", "--out", str(design))
+    assert code == 0
+    assert cd2(read_design_csv(str(design))) == pytest.approx(float(stdout), rel=1e-9)
 
 
 _MANIFEST_KEYS = {"argv", "command", "config", "result", "version", "wall_time_seconds"}

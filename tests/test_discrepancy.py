@@ -56,6 +56,13 @@ class TestCd2:
         with pytest.raises(ValueError):
             cd2([0.1, 0.2])
 
+    @pytest.mark.parametrize("x, match", [
+        ([[0.2, np.nan]], "non-finite"), (np.empty((0, 3)), "n >= 1"), (np.empty((3, 0)), "s >= 1"),
+    ], ids=["nan", "no-runs", "no-factors"])
+    def test_rejects_non_finite_or_empty(self, x, match):
+        with pytest.raises(ValueError, match=match):
+            cd2(x)
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 9), s=st.integers(1, 5))
     def test_symmetry_properties(self, seed, n, s):
@@ -143,14 +150,24 @@ def _visit(cache, i, j):
 
 
 def _sweep_slope(cache, i, j):
-    """dCD2/dx_ij as a ``gradient_sweep`` visit computes it from the cache's state."""
+    """dCD2/dx_ij as a CGD visit computes it from the cache's state."""
     x, *terms = _visit(cache, i, j)
     return _visit_slope(x, x - 0.5, *terms, cache.n)
 
 
 def _sweep_zero(cache, i, j, t_max=1):
-    """The new x_ij a ``zero_gradient_sweep`` visit computes from the cache's state."""
+    """The new x_ij a CZG visit computes from the cache's state."""
     return _zero_gradient_recursion(*_visit(cache, i, j), cache.n, t_max)
+
+
+def _gradient_rule(n, step_size):
+    """CGD's visit rule for ``DiscrepancyCache.sweep``."""
+    return lambda x, *terms: min(1.0, max(0.0, x - step_size * _visit_slope(x, x - 0.5, *terms, n)))
+
+
+def _zero_gradient_rule(n, t_max=1):
+    """CZG's visit rule for ``DiscrepancyCache.sweep``."""
+    return lambda *terms: _zero_gradient_recursion(*terms, n, t_max)
 
 
 class TestOneDerivative:
@@ -385,9 +402,9 @@ class TestCache:
 
     @pytest.mark.parametrize("mutate", [
         lambda cache: cache.update(2, 1, 0.0625),
-        lambda cache: cache.gradient_sweep(0.05),
-        lambda cache: cache.zero_gradient_sweep(),
-        lambda cache: cache.zero_gradient_sweep(guarded=True),
+        lambda cache: cache.sweep(_gradient_rule(cache.n, 0.05)),
+        lambda cache: cache.sweep(_zero_gradient_rule(cache.n)),
+        lambda cache: cache.sweep(_zero_gradient_rule(cache.n), guarded=True),
     ], ids=["update", "gradient_sweep", "zero_gradient_sweep", "guarded_zero_gradient_sweep"])
     def test_swap_commit_after_update_ignores_stale_preview(self, mutate):
         cache = DiscrepancyCache(random_design(8, 3, seed=13))
@@ -438,25 +455,9 @@ class TestSweeps:
         # arrays are bitwise those of a cache built from the new design
         for seed, (n, s) in enumerate([(1, 1), (6, 3), (11, 5)]):
             cache = DiscrepancyCache(random_design(n, s, seed))
-            cache.zero_gradient_sweep(t_max=2, guarded=guarded)
-            cache.gradient_sweep(0.05)
+            cache.sweep(_zero_gradient_rule(n, t_max=2), guarded=guarded)
+            cache.sweep(_gradient_rule(n, 0.05))
             assert _state(cache) == _state(DiscrepancyCache(cache.design))
-
-    def test_zero_gradient_sweep_rejects_bad_depth(self):
-        with pytest.raises(ValueError):
-            DiscrepancyCache([[0.3]]).zero_gradient_sweep(t_max=0)
-        for bad in (2.5, float("nan"), 3.0):
-            with pytest.raises(ValueError):
-                DiscrepancyCache([[0.3]]).zero_gradient_sweep(t_max=bad)
-        assert DiscrepancyCache([[0.3]]).zero_gradient_sweep(t_max=np.int64(2)) >= 0.0
-
-    @pytest.mark.parametrize("step", [float("nan"), float("inf"), -float("inf"), -0.1])
-    def test_gradient_sweep_rejects_bad_step(self, step):
-        cache = DiscrepancyCache(random_design(4, 3, seed=3))
-        before = _state(cache)
-        with pytest.raises(ValueError):
-            cache.gradient_sweep(step)
-        assert _state(cache) == before
 
 
 class TestPreviewSteps:
@@ -540,7 +541,7 @@ class TestSwapDeltas:
         for _ in range(1000):
             r1, r2 = rng.choice(n, 2, replace=False)
             cache.apply_column_swap(int(r1), int(r2), int(rng.integers(s)))
-        cap = max(1, min(lattice._SCREEN_MAX_BLOCK, lattice._SCREEN_ELEMENTS // (2 * n)))
+        cap = max(1, lattice._SCREEN_ELEMENTS // (2 * n))
         for k in sorted({1, 16, cap}):
             cols, rows1, rows2 = lattice._draw_swaps(rng, n, s, k)
             before = _state(cache)

@@ -39,6 +39,10 @@ class TestUTypeDesign:
         with pytest.raises(ValueError):
             UTypeDesign(np.array([[0], [1]]), q=2)
 
+    def test_levels_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="2-D"):
+            UTypeDesign(np.array([1, 2]), q=2)
+
     def test_levels_are_read_only(self):
         design = random_utype(4, 4, 2, seed=0)
         with pytest.raises(ValueError):
@@ -227,6 +231,11 @@ def small_config(**overrides):
 
 
 class TestTaOptimize:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan")])
+    def test_config_rejects_alpha_outside_the_open_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            small_config(alpha=alpha)
+
     def test_never_worse_than_initial(self):
         config = small_config()
         result = ta_optimize(config)
@@ -373,6 +382,19 @@ class TestScreenedTa:
                             lambda cache, *swaps: screened.append(1) or deltas(cache, *swaps))
         assert_same_run(TaConfig(n=n, q=n, s=3, seed=4, stages=6, iterations_per_stage=1000))
         assert bool(screened) == (n == 64)
+
+    @pytest.mark.parametrize("n, q, s, schedule", [
+        (3, 3, 4, np.full(4, -1e-3)),  # every swap is rejected
+        (2, 1, 3, np.zeros(4)),  # every swap is an accepted no-op
+    ])
+    def test_tiny_designs_screen_blocks_past_256(self, n, q, s, schedule, monkeypatch):
+        # at n <= 3 only the scratch bound 2048 // 2n caps a block
+        sizes = []
+        deltas = DiscrepancyCache._swap_deltas
+        monkeypatch.setattr(DiscrepancyCache, "_swap_deltas",
+                            lambda cache, *swaps: sizes.append(len(swaps[2])) or deltas(cache, *swaps))
+        assert_same_run(TaConfig(n=n, q=q, s=s, seed=0, stages=3), schedule)
+        assert max(sizes) > 256
 
     def test_large_design_short_schedule(self):
         # the scratch cap would cut blocks to 2048 // (2 * 500) = 2 swaps, too

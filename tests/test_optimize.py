@@ -192,8 +192,9 @@ def test_different_initializations_reach_different_minima():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RefinerConfig(step_size=-0.1)
+    for bad in (-0.1, -float("inf")):
+        with pytest.raises(ValueError):
+            RefinerConfig(step_size=bad)
     with pytest.raises(ValueError):
         RefinerConfig(epsilon=0.0)
     with pytest.raises(ValueError):
@@ -256,6 +257,27 @@ def test_refiners_match_per_visit_reference_bit_for_bit(name, kind):
             assert result.cd2 == value
             assert result.termination == termination
             assert [(r.step, r.cd2) for r in result.trace.records] == trace
+
+
+def test_cdfss_rolls_back_a_commit_that_does_not_improve(monkeypatch):
+    # from a design where no move improves, a preview that reads 1.0 too low picks a move
+    # whose commit does not lower CD2: the commit is undone and the run stops
+    init = cdfss(random_design(5, 2, seed=21), RefinerConfig(max_epochs=1000)).design
+    start = DiscrepancyCache(init)
+    preview, update = DiscrepancyCache.preview_update, DiscrepancyCache.update
+    updates = []
+
+    def recorded(cache, i, j, value):
+        updates.append((i, j, value))
+        return update(cache, i, j, value)
+
+    monkeypatch.setattr(DiscrepancyCache, "preview_update", lambda *a: preview(*a) - 1.0)
+    monkeypatch.setattr(DiscrepancyCache, "update", recorded)
+    result = cdfss(init, RefinerConfig(max_epochs=5))
+    assert result.termination == "no_improving_move"
+    assert np.array_equal(result.design, init) and result.cd2 == start.cd2
+    (i, j, moved), undo = updates
+    assert moved != init[i, j] and undo == (i, j, init[i, j])
 
 
 def test_cdfss_exact_tie_goes_to_first_move():

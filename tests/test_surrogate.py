@@ -198,6 +198,12 @@ class TestBitIdenticalToReference:
         pts = np.random.default_rng(2).random((20, 2))
         assert_same_fit(model, kriging_fit_reference(x, y, "poly0", **kw), pts)
 
+    def test_no_admissible_theta_raises(self):
+        # two runs 1e-12 apart leave R singular at every theta without a nugget
+        x = np.array([[0.3, 0.6], [0.3 + 1e-12, 0.6]])
+        with pytest.raises(np.linalg.LinAlgError, match="no admissible theta"):
+            kriging_fit(x, np.array([1.0, 2.0]), "poly0", nugget=0.0)
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_hopeless_starts_end_early(self, monkeypatch):
         # the smallest scales of test_failing_starts fail at every simplex
@@ -385,6 +391,7 @@ class TestEvaluateMse:
         {"num_test_points": 2.5},
         {"num_test_points": np.nan},
         {"test_points": np.zeros((5, 3))},
+        {"test_points": np.empty((0, 4))},
         {"test_points": [[0.5, np.nan, 0.5, 0.5], [0.2, 0.3, 0.4, 0.5]]},
     ])
     def test_bad_test_set_rejected_before_fitting(self, monkeypatch, kwargs):
