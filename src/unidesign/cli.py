@@ -121,20 +121,22 @@ def _write_projections_csv(path: str, design: np.ndarray) -> None:
                     writer.writerow([a, b, f"{design[i, a]:.17g}", f"{design[i, b]:.17g}"])
 
 
-def _check_writable(**paths) -> None:
+def _check_writable(inputs: dict, **paths) -> None:
     """Raise OSError unless every output path, keyed by its flag, can be opened for writing.
 
     Called before any work, so that a bad path neither wastes a run nor leaves
     some outputs written without the others.  Two flags that name one file
-    raise ValueError, since the later write would overwrite the earlier.
-    Leaves every file as it was.
+    raise ValueError, since the later write would overwrite the earlier, and so
+    does an output naming one of the ``inputs`` (input paths keyed by flag),
+    which it would replace; ``--out`` naming ``--init`` is a design refined in
+    place and allowed.  Leaves every file as it was.
     """
-    flags = {}
+    flags = {os.path.realpath(path): flag for flag, path in inputs.items() if path}
     for flag, path in paths.items():
         if not path:
             continue
         other = flags.setdefault(os.path.realpath(path), flag)
-        if other != flag:
+        if other != flag and (other, flag) != ("init", "out"):
             raise ValueError(f"--{other} and --{flag} both name {path}")
         existed = os.path.exists(path)
         with open(path, "a"):
@@ -209,8 +211,8 @@ def _cmd_construct(args, argv) -> int:
     for name in ("n", "q", "s") if from_ta else ("init",):
         if getattr(args, name) in (None, ""):
             raise ValueError(f"--algo {args.algo} requires --{name}")
-    _check_writable(out=args.out, trace=args.trace, projections=args.projections,
-                    manifest=args.manifest)
+    _check_writable({"init": args.init}, out=args.out, trace=args.trace,
+                    projections=args.projections, manifest=args.manifest)
     if from_ta:
         ta_config = TaConfig(
             n=args.n, q=args.q, s=args.s, alpha=args.alpha, stages=args.stages,
@@ -251,8 +253,8 @@ def _cmd_evaluate(args, argv) -> int:
     cache = DiscrepancyCache(read_design_csv(args.design))
     print(f"{cache.cd2:.10g}")
     if args.gradient:
-        for row in cache.gradient():
-            print(",".join(f"{v:.10g}" for v in row))
+        row = ",".join(["%.10g"] * cache.s)
+        print("\n".join(row % tuple(values) for values in cache.gradient().tolist()))
     return EXIT_OK
 
 
@@ -260,7 +262,7 @@ def _cmd_sample(args, argv) -> int:
     t0 = time.perf_counter()
     if args.kind == "utype" and args.q is None:
         raise ValueError("--kind utype requires --q")
-    _check_writable(out=args.out, manifest=args.manifest)
+    _check_writable({}, out=args.out, manifest=args.manifest)
     draw, integer = _SAMPLERS[args.kind]
     matrix = draw(args)
     write_matrix_csv(args.out, matrix, integer=integer)
@@ -281,7 +283,7 @@ def _cmd_bench(args, argv) -> int:
     known = get_args(TrendBasis)
     if not bases or not set(bases) <= set(known):
         raise ValueError(f"--basis must be a comma list of {', '.join(known)}, got {args.basis!r}")
-    _check_writable(out=args.out)
+    _check_writable({"design": args.design}, out=args.out)
 
     if args.design:
         designs = [read_design_csv(args.design)]

@@ -58,8 +58,9 @@ def _f2(u, au, w, aw):
     return 1.0 + 0.5 * (au + aw) - 0.5 * np.abs(u - w)
 
 
-# rows per block of the O(n^2 s) passes; at 2000x5 the gradient takes 10% longer
-# at 64 rows than at 32, and at 27x13 ``preview_steps`` takes 1.8x as long at 16
+# rows per block of the O(n^2 s) passes.  The kernel build, gradient and preview_steps
+# together take 245 / 259 / 280 ms at 16 / 32 / 64 rows at 2000x5 but 42 / 34 / 30 ms
+# at 500x10, so no count wins both shapes; at 27x13 16 rows take 1.7x as long as 32
 _BLOCK = 32
 
 # the batch scorers' worst measured errors, in units of ``term_scale``, are 1.5e-16
@@ -67,8 +68,14 @@ _BLOCK = 32
 _SCREEN_RTOL = 1e-12
 
 
-def _f2_rows(out, tmp, u, au, w, aw, one=1.0, diff=None) -> None:
-    """Write (one + (au_r + aw_k)) - |u_r - w_k| into ``out`` (len(u) x len(w)).
+def _f2_rows(out, tmp, left, right, one=1.0, diff=None) -> None:
+    """Write (one + (au_r + aw_k)) - |u_r - w_k| into ``out`` (m x n).
+
+    The outer sum and difference are the matrix products [au_r, 1] @ [1; aw_k] and
+    [u_r, 1] @ [1; -w_k] of ``left`` (2 x m x 2, ``_left_factors`` of u, au) and
+    ``right`` (2 x 2 x n, ``_right_factors`` of w, aw): both products in an entry are
+    exact (a factor is 1) and their sum rounds once, so each entry is ``np.add``'s or
+    ``np.subtract``'s bit for bit, whatever the BLAS kernel, FMA use or thread count.
 
     On halved columns (u = x/2, au = |x - 1/2|/2) this is ``_f2`` bit for bit:
     halving is exact for every a and for x >= 2^-1021, so au_r + aw_k and
@@ -77,13 +84,29 @@ def _f2_rows(out, tmp, u, au, w, aw, one=1.0, diff=None) -> None:
     whole columns with one = 2 it is exactly 2 * f2.  ``tmp`` is scratch; a
     ``diff`` array of the same shape also receives u_r - w_k.
     """
-    np.add(au[:, None], aw, out=out)
+    np.matmul(left[0], right[0], out=out)
     out += one
     if diff is None:
         diff = tmp
-    np.subtract(u[:, None], w, out=diff)
+    np.matmul(left[1], right[1], out=diff)
     np.abs(diff, out=tmp)
     out -= tmp
+
+
+def _left_factors(u, au):
+    """``_f2_rows``' rows [au_r, 1] and [u_r, 1] of points u, au (... x m), ... x 2 x m x 2."""
+    left = np.ones(u.shape[:-1] + (2, u.shape[-1], 2))
+    left[..., 0, :, 0] = au
+    left[..., 1, :, 0] = u
+    return left
+
+
+def _right_factors(w, aw):
+    """``_f2_rows``' columns [1; aw_k] and [1; -w_k] of points w, aw (... x n), ... x 2 x 2 x n."""
+    right = np.ones(w.shape[:-1] + (2, 2, w.shape[-1]))
+    right[..., 0, 1, :] = aw
+    np.negative(w, out=right[..., 1, 1, :])
+    return right
 
 
 def _kernel(xt: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -98,14 +121,16 @@ def _kernel(xt: np.ndarray, at: np.ndarray) -> np.ndarray:
     """
     n = xt.shape[1]
     xt, at = 0.5 * xt, 0.5 * at  # halved columns
+    right = _right_factors(xt, at)
     kernel = np.empty((n, n))
     scratch = np.empty((3, min(_BLOCK, n) * n))
     for r0 in range(0, n, _BLOCK):
         m, width = min(_BLOCK, n - r0), n - r0
         rows = slice(r0, r0 + m)
         product, f2, tmp = (buffer[:m * width].reshape(m, width) for buffer in scratch)
-        for k, (u, au) in enumerate(zip(xt, at)):
-            _f2_rows(f2 if k else product, tmp, u[rows], au[rows], u[r0:], au[r0:])
+        left = _left_factors(xt[:, rows], at[:, rows])
+        for k in range(len(xt)):
+            _f2_rows(f2 if k else product, tmp, left[k], right[k, ..., r0:])
             if k:
                 product *= f2
         kernel[rows, r0:] = product
@@ -211,10 +236,13 @@ class DiscrepancyCache:
     Batch passes: the kernel build, ``gradient`` (all ns derivatives) and
     ``preview_steps`` (all 2ns fixed-step moves) are O(n^2 s) passes over contiguous
     columns in ``_BLOCK`` = 32-row blocks, with O(32 n) scratch and no n x n
-    temporaries, forming f2 in five array operations (``_f2_rows``).  The build
-    mirrors each unordered pair of rows, and the other two share the half leave-one-out
-    blocks kernel / (2 f2) of ``_half_loo_blocks``; every result is bit for bit that
-    of whole-matrix products.
+    temporaries.  ``_f2_rows`` forms a block's f2 with its outer sum and difference as
+    matrix products of inner dimension 2, [a_r, 1] @ [1; a_k] and [x_r, 1] @ [1; -x_k].
+    They are exact: each entry is two exact products (one factor is 1) rounded once in
+    their sum, as ``np.add`` and ``np.subtract`` round it.  The build mirrors each
+    unordered pair of rows, and the other two share the half leave-one-out blocks
+    kernel / (2 f2) of ``_half_loo_blocks``; every result is bit for bit that of
+    whole-matrix products.
 
     Single-writer: concurrent mutation is not supported.
     """
@@ -329,13 +357,16 @@ class DiscrepancyCache:
         d_rp = rp / _f1(self._at) * _f1(av) - rp
         d_kernel = np.empty_like(v)
         row_sums, diagonal = self._kernel.sum(axis=1), self._kernel.diagonal()
+        right = _right_factors(xt, self._at)
         f2_new = np.empty((min(_BLOCK, n), n))
-        for rows, j, half, tmp in self._half_loo_blocks():
+        for rows, j, half, tmp in self._half_loo_blocks(right):
+            if j == 0:  # a new block: its moved points' factors, 2 x s x 2 x m x 2
+                left = _left_factors(v[..., rows], av[..., rows])
             fb = f2_new[:len(half)]
             fb_diagonal = fb.reshape(-1)[rows.start::n + 1]  # entries (r, r0 + r): a point with itself
             g2_new = 2.0 + 2.0 * av[:, j, rows]  # twice 1 + |v - 1/2|
             for d in range(2):
-                _f2_rows(fb, tmp, v[d, j, rows], av[d, j, rows], xt[j], self._at[j], one=2.0)
+                _f2_rows(fb, tmp, left[d, j], right[j], one=2.0)
                 fb_diagonal[:] = g2_new[d]
                 d_kernel[d, j, rows] = 2.0 * (np.einsum("ik,ik->i", half, fb) - row_sums[rows])
             d_kernel[:, j, rows] -= half[:, rows].diagonal() * g2_new - diagonal[rows]
@@ -352,7 +383,7 @@ class DiscrepancyCache:
         sums = np.empty_like(xt)
         w = np.empty((min(_BLOCK, n), n))
         ties = np.empty(w.shape, dtype=bool)
-        for rows, j, half, _ in self._half_loo_blocks(diff=w):
+        for rows, j, half, _ in self._half_loo_blocks(_right_factors(xt, at), diff=w):
             # wb = sc - sgn(x_ij - x_kj), twice the weight of the half leave-one-out kernel,
             # so each product and the einsum's sums keep their bits
             wb, eb = w[:len(half)], ties[:len(half)]
@@ -365,12 +396,13 @@ class DiscrepancyCache:
         pair = sums - p2 * 0.5 * sc
         return _slope(self._rp / _f1(at), p2, sc, d, pair, n).T.copy()
 
-    def _half_loo_blocks(self, diff=None):
+    def _half_loo_blocks(self, right, diff=None):
         """Yield ``rows, j, half, tmp`` for each ``_BLOCK``-row block and column j.
 
         ``half`` is kernel / (2 f2(x_rj, x_kj)), with 2 f2 from whole columns (``_f2_rows``
-        with one = 2), so it is exactly half the kernel over the factors q != j.  Both buffers are
-        reused at the next yield (``tmp`` is free scratch); a ``diff`` (_BLOCK x n) gets x_rj - x_kj.
+        with one = 2 and ``right``, the design's ``_right_factors``), so it is exactly half
+        the kernel over the factors q != j.  Both buffers are reused at the next yield
+        (``tmp`` is free scratch); a ``diff`` (_BLOCK x n) gets x_rj - x_kj.
         """
         xt, at, n = self._xt, self._at, self.n
         half, tmp = np.empty((2, min(_BLOCK, n), n))
@@ -378,8 +410,9 @@ class DiscrepancyCache:
             rows = slice(r0, r0 + _BLOCK)
             kernel = self._kernel[rows]
             hb, tb, db = (None if b is None else b[:len(kernel)] for b in (half, tmp, diff))
-            for j, (u, au) in enumerate(zip(xt, at)):
-                _f2_rows(hb, tb, u[rows], au[rows], u, au, one=2.0, diff=db)
+            left = _left_factors(xt[:, rows], at[:, rows])
+            for j in range(self.s):
+                _f2_rows(hb, tb, left[j], right[j], one=2.0, diff=db)
                 np.divide(kernel, hb, out=hb)
                 yield rows, j, hb, tb
 

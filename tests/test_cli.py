@@ -431,7 +431,9 @@ def test_unwritable_output_exit_2(capsys, tmp_path, argv, flag):
     assert list(tmp_path.iterdir()) == []
 
 
-_REFINE_INIT = ["construct", "--algo", "cgd", "--init", "{init}", "--max-epochs", "2"]
+_REFINE = ["construct", "--algo", "cgd", "--max-epochs", "2"]
+_REFINE_INIT = [*_REFINE, "--init", "{init}"]
+_DESIGN_BENCH = ["bench", "--fn", "const", "--reps", "1", "--test-points", "5"]
 
 
 @pytest.mark.parametrize("argv, flags", [
@@ -439,13 +441,21 @@ _REFINE_INIT = ["construct", "--algo", "cgd", "--init", "{init}", "--max-epochs"
     (_REFINE_INIT, ("--out", "--manifest")),
     (_TINY_TA, ("--trace", "--projections")),
     (_TINY_SAMPLE, ("--out", "--manifest")),
+    # an output in place of an input design, which the run would read and then replace
+    (_REFINE, ("--init", "--trace")),
+    (_REFINE, ("--init", "--manifest")),
+    (_REFINE, ("--init", "--projections")),
+    (_DESIGN_BENCH, ("--design", "--out")),
 ], ids=["construct-out-trace", "construct-out-manifest", "construct-trace-projections",
-        "sample-out-manifest"])
+        "sample-out-manifest", "construct-init-trace", "construct-init-manifest",
+        "construct-init-projections", "bench-design-out"])
 def test_coinciding_outputs_exit_2(capsys, tmp_path, argv, flags):
     init = tmp_path / "d.csv"
     write_matrix_csv(str(init), np.random.default_rng(5).random((4, 2)))
     target = tmp_path / "o.csv"
-    target.write_text("kept\n")
+    # a design, so that a run taking it as an input gets as far as writing its outputs
+    write_matrix_csv(str(target), np.random.default_rng(6).random((4, 2)))
+    kept = target.read_bytes()
     # the second flag spells the same file another way
     paths = [str(target), f"{tmp_path}/./o.csv"]
     out = [] if "--out" in flags else ["--out", str(tmp_path / "x.csv")]
@@ -453,7 +463,7 @@ def test_coinciding_outputs_exit_2(capsys, tmp_path, argv, flags):
     code, _, err = run(capsys, *argv, *out, *(a for pair in zip(flags, paths) for a in pair))
     assert code == 2
     assert all(flag in err for flag in flags)
-    assert target.read_text() == "kept\n"
+    assert target.read_bytes() == kept
     assert sorted(tmp_path.iterdir()) == [init, target]
 
 

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 from unidesign import DiscrepancyCache, cd2, cd2_gradient, lattice
-from unidesign.discrepancy import _BLOCK, _visit_slope, _zero_gradient_recursion
+from unidesign.discrepancy import (
+    _BLOCK,
+    _f2_rows,
+    _left_factors,
+    _right_factors,
+    _visit_slope,
+    _zero_gradient_recursion,
+)
 from conftest import UD18X7_CD2, UD27X13_CD2
 from oracles import (
     cd2_gradient_reference,
@@ -251,6 +258,23 @@ class TestRowBlocks:
         assert built.tobytes() == built.T.copy().tobytes()
         assert np.float64(cd2(x)).tobytes() == np.float64(cd2_kernel_reference(x)).tobytes()
 
+    @pytest.mark.parametrize("one, halved", [(1.0, True), (2.0, False)])
+    def test_f2_rows_match_broadcast_form_bit_for_bit(self, one, halved):
+        # the outer sum and difference are matrix products, each entry two exact
+        # products rounded once in their sum: np.add's and np.subtract's result
+        edges = [0.0, 1.0, 0.5, 5e-324, 1e-320, 2.0**-1022, 2.0**-1021, 3 * 2.0**-1022,
+                 np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0),
+                 0.3, np.nextafter(0.3, 1.0), np.nextafter(0.3, 0.0), 1 / 3, 0.75, 0.75]
+        rng = np.random.default_rng(3)
+        x = np.concatenate([edges, rng.random(23), rng.choice(edges, 9)])
+        y = np.concatenate([x[rng.permutation(len(x))], rng.random(7), [2.0**-1074, 0.25]])
+        scale = 0.5 if halved else 1.0
+        u, au, w, aw = scale * x, scale * np.abs(x - 0.5), scale * y, scale * np.abs(y - 0.5)
+        out, tmp, diff = np.empty((3, len(x), len(y)))
+        _f2_rows(out, tmp, _left_factors(u, au), _right_factors(w, aw), one=one, diff=diff)
+        assert out.tobytes() == ((one + (au[:, None] + aw)) - np.abs(u[:, None] - w)).tobytes()
+        assert diff.tobytes() == (u[:, None] - w).tobytes()
+
     @pytest.mark.parametrize("fn", [cd2, cd2_gradient])
     def test_peak_memory_is_about_one_kernel(self, fn):
         # the kernel itself is 8 n^2 bytes; whole-matrix f2 temporaries would
@@ -491,11 +515,15 @@ class TestPreviewSteps:
                         assert abs(values[i, j, d] - exact) <= 1e-14 * cache.term_scale
 
     @pytest.mark.parametrize("kind", ["random", "lattice", "kinks", "subnormal"])
-    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
-    def test_row_blocks_match_whole_matrix_reference_bit_for_bit(self, kind, n):
+    @pytest.mark.parametrize(
+        "n, s",
+        [pytest.param(n, 3, id=str(n)) for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)]
+        + [pytest.param(500, 10, id="500x10")],
+    )
+    def test_row_blocks_match_whole_matrix_reference_bit_for_bit(self, kind, n, s):
         rng = np.random.default_rng(n)
-        cache = DiscrepancyCache(_kind_design(kind, n, 3, rng))
-        steps = rng.uniform(0.01, 0.3, 3)
+        cache = DiscrepancyCache(_kind_design(kind, n, s, rng))
+        steps = rng.uniform(0.01, 0.3, s)
         targets, values = cache.preview_steps(steps)
         expected_targets, expected_values = preview_steps_reference(cache, steps)
         assert targets.tobytes() == expected_targets.tobytes()
