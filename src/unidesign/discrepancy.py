@@ -17,6 +17,8 @@ incremental paths well conditioned.  ``cd2`` and ``cd2_gradient`` evaluate throu
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -138,20 +140,23 @@ def _kernel(xt: np.ndarray, at: np.ndarray) -> np.ndarray:
     return kernel
 
 
-def _moved_row(factors, xt: np.ndarray, at: np.ndarray, i: int, j: int, value: float):
-    """f1 product and kernel row of row i with x_ij = value (O(ns)).
+def _moved_row(factors, halved, i: int, j: int, value: float, row) -> float:
+    """Row i's f1 product and, into ``row``, its kernel row with x_ij = value (O(ns)).
 
     ``factors`` are row i's ``DiscrepancyCache._row_factors``; their entries for
-    coordinate j are set to those of ``value``.
+    coordinate j are set to those of ``value``, f2's in place, as ``_f2_rows`` forms
+    them on ``halved`` column j, (x_kj / 2, |x_kj - 1/2| / 2).
     """
     f2_t, f1_row, g2_row = factors
     aij = abs(value - 0.5)
     f1_row[j], g2_row[j] = _f1(aij), 1.0 + aij
-    f2_t[j] = _f2(value, aij, xt[j], at[j])
-    row = f2_t.prod(axis=0)
+    f2 = np.add(0.5 * aij, halved[1], out=f2_t[j])
+    f2 += 1.0
+    f2 -= np.abs(np.subtract(0.5 * value, halved[0]))
+    np.multiply.reduce(f2_t, axis=0, out=row)
     # the diagonal pairs the moved row with itself, not with the old x_i
-    row[i] = g2_row.prod()
-    return f1_row.prod(), row
+    row[i] = math.prod(g2_row)
+    return math.prod(f1_row)
 
 
 def _slope(p1, p2, sc, d, pair_sum, n: int):
@@ -172,11 +177,13 @@ def _visit_slope(x: float, d: float, column: np.ndarray, p1: float, p2: float,
     """dCD2/dx_ij at x_ij = x, with d in place of x - 1/2 in the f1 term, from ``_visit_terms``.
 
     The pair sum over k != i subtracts the k = i term, loo[i] = p2 with weight sc/2
-    (sgn(x - x) = 0), from the full dot product.  sgn(0) = 0 picks a deterministic
-    subgradient at kinks.
+    (sgn(x - x) = 0), from the full dot product.  Its weights are sc - sgn(x - x_kj)
+    and the 1/2 scales the dot, exactly: every loo entry is >= 1, so no partial sum is
+    subnormal.  sgn(0) = 0 picks a deterministic subgradient at kinks.
     """
-    sc = float(np.sign(x - 0.5))
-    pair_sum = float(loo @ (0.5 * sc - 0.5 * np.sign(x - column))) - p2 * 0.5 * sc
+    sc = 1.0 if x > 0.5 else -1.0 if x < 0.5 else 0.0
+    w = np.subtract(x, column)
+    pair_sum = 0.5 * float(loo.dot(np.subtract(sc, np.sign(w, out=w), out=w))) - p2 * 0.5 * sc
     return _slope(p1, p2, sc, d, pair_sum, n)
 
 
@@ -220,11 +227,11 @@ class DiscrepancyCache:
     f1 products, the symmetric pairwise f2 kernel and the current CD2 value.
 
     Coordinate moves: ``_commit`` is the one writer, and ``_moved_row`` the one
-    builder of a moved kernel row, from the design (no multiplicative deltas, so
-    repeated moves cannot drift from a fresh build).  ``update`` is a commit, O(ns),
-    plus an O(n^2) re-sum, and ``preview_update`` scores one in O(ns) without mutating
-    any state.  ``sweep`` runs a refiner's epoch of commits and leaves every array and
-    value exactly as one ``update`` per visit would.
+    builder of a moved kernel row, in place from the row's factors (no multiplicative
+    deltas, so repeated moves cannot drift from a fresh build).  ``update`` is a commit,
+    O(ns), plus an O(n^2) re-sum, and ``preview_update`` scores one in O(ns) without
+    mutating any state.  ``sweep`` runs a refiner's epoch of commits, mirroring each
+    kernel row into its column once, and leaves every array exactly as a fresh build.
 
     Column swaps: ``preview_column_swap`` scores one in O(n), and ``apply_column_swap``
     commits it from the preview's terms and returns exactly the previewed value; its
@@ -304,26 +311,28 @@ class DiscrepancyCache:
             raise ValueError(f"new value {value!r} outside [0, 1]")
 
     def _row_factors(self, i: int):
-        """Row i's s x n factors f2(x_ij, x_kj), its f1 factors and its 1 + |x_ij - 1/2| (O(ns))."""
+        """Row i's s x n factors f2(x_ij, x_kj), and its f1 and 1 + |x_ij - 1/2| factors as float lists (O(ns))."""
         xt, at = self._xt, self._at
-        return _f2(xt[:, i, None], at[:, i, None], xt, at), _f1(at[:, i]), 1.0 + at[:, i]
+        return _f2(xt[:, i, None], at[:, i, None], xt, at), _f1(at[:, i]).tolist(), (1.0 + at[:, i]).tolist()
 
-    def _commit(self, i: int, j: int, value: float, factors) -> None:
-        """Set x_ij = value and rewrite row i's f1 product and kernel row/column (O(ns)).
+    def _commit(self, i: int, j: int, value: float, factors, halved) -> None:
+        """Set x_ij = value and rewrite row i's factors, f1 product and kernel row in place (O(ns)).
 
         The one writer of a coordinate move, so the one place that drops the swap-preview
-        memo; the sums are left to the caller.
+        memo; it keeps ``halved``, column j and its |x - 1/2| halved, with the design,
+        and leaves the kernel column and the sums to the caller.
         """
         self._previewed = None, None
-        self._xt[j, i] = value
-        self._at[j, i] = abs(value - 0.5)
-        self._rp[i], row = _moved_row(factors, self._xt, self._at, i, j, value)
-        self._kernel[i] = self._kernel[:, i] = row
+        aij = abs(value - 0.5)
+        self._xt[j, i], self._at[j, i] = value, aij
+        halved[0][i], halved[1][i] = 0.5 * value, 0.5 * aij
+        self._rp[i] = _moved_row(factors, halved, i, j, value, self._kernel[i])
 
     def update(self, i: int, j: int, value: float) -> float:
         """Set x_ij = value, refresh the affected cache entries, return CD2."""
         self._check_update(i, j, value)
-        self._commit(i, j, value, self._row_factors(i))
+        self._commit(i, j, value, self._row_factors(i), (0.5 * self._xt[j], 0.5 * self._at[j]))
+        self._kernel[:, i] = self._kernel[i]
         return self.resum()
 
     def preview_update(self, i: int, j: int, value: float) -> float:
@@ -331,7 +340,8 @@ class DiscrepancyCache:
         self._check_update(i, j, value)
         if value == self._xt[j, i]:
             return self.cd2
-        rp, row = _moved_row(self._row_factors(i), self._xt, self._at, i, j, value)
+        row = np.empty(self.n)
+        rp = _moved_row(self._row_factors(i), (0.5 * self._xt[j], 0.5 * self._at[j]), i, j, value, row)
         old_row = self._kernel[i]
         d_rp = rp - self._rp[i]
         d_kernel = 2.0 * float(row.sum() - old_row.sum()) - (row[i] - old_row[i])
@@ -530,38 +540,44 @@ class DiscrepancyCache:
         self.cd2 = self._combine(self._sum_rp, self._sum_kernel)
         return self.cd2
 
-    def _visit_terms(self, i: int, j: int, factors, g2_prod: float):
-        """x_ij, column j and leave-one-out p1, p2 and kernel row at (i, j) from row i's factors (O(n)).
-
-        ``factors`` are row i's ``_row_factors`` and ``g2_prod`` the product of its 1 + |x_iq - 1/2|.
-        """
+    def _visit_terms(self, i: int, j: int, factors):
+        """x_ij, column j and leave-one-out p1, p2 and kernel row at (i, j) from row i's current factors (O(n))."""
         f2_t, f1_row, g2_row = factors
         column = self._xt[j]
-        p1, p2 = self._rp[i] / f1_row[j], float(g2_prod / g2_row[j])
-        return column[i], column, p1, p2, self._kernel[i] / f2_t[j]
+        p1, p2 = self._rp.item(i) / f1_row[j], math.prod(g2_row) / g2_row[j]
+        return column.item(i), column, p1, p2, self._kernel[i] / f2_t[j]
 
     def sweep(self, rule, guarded: bool = False) -> float:
         """One refiner epoch: x_ij = rule(*terms) at every (i, j) in row-major order, return CD2.
 
         A Gauss-Seidel pass: the terms are ``_visit_terms`` at the partially updated
         design (x_ij, column j, and the leave-one-out p1, p2 and kernel row), and the
-        rule returns the new x_ij in [0, 1].  With ``guarded`` a visit that increases
-        CD2 is rolled back.  Row i's ``_row_factors`` are built once; each visit reads
-        its terms from them and ``_commit`` writes its move from them, O(ns) elementwise
-        work in a few numpy calls.  An unguarded pass re-sums once at the end (O(n^2));
-        a guarded one re-sums after every visit, because it compares CD2 there, and
-        undoes a rejected visit by committing the old value again and restoring the
-        three sums.
+        rule returns the new x_ij in [0, 1], else ``ValueError`` with the earlier visits
+        kept.  With ``guarded`` a visit that increases CD2 is rolled back.  Row i's
+        ``_row_factors`` (f1 and g2 as float lists) are built once, and ``_commit``
+        rewrites them and kernel row i in place: about ten numpy calls per visit.  An
+        unguarded pass mirrors row i into its column after the row and re-sums once
+        (O(n^2)); a guarded one does both after every visit, to compare CD2, and undoes
+        a rejected visit by committing the old value and restoring the three sums.
         """
         xt, kernel = self._xt, self._kernel
-        for i in range(self.n):
-            factors = self._row_factors(i)
-            g2_prod = factors[2].prod()
-            for j in range(self.s):
-                old, sums = xt[j, i], (self._sum_rp, self._sum_kernel, self.cd2)
-                self._commit(i, j, rule(*self._visit_terms(i, j, factors, g2_prod)), factors)
-                if guarded and self.resum() > sums[-1]:
-                    self._commit(i, j, old, factors)
-                    self._sum_rp, self._sum_kernel, self.cd2 = sums
-                g2_prod = kernel[i, i]  # the commit's g2_row.prod()
-        return self.resum()
+        halved = list(zip(0.5 * xt, 0.5 * self._at))  # kept by _commit
+        try:
+            for i in range(self.n):
+                factors = self._row_factors(i)
+                for j in range(self.s):
+                    old, sums = xt.item(j, i), (self._sum_rp, self._sum_kernel, self.cd2)
+                    value = rule(*self._visit_terms(i, j, factors))
+                    if not 0.0 <= value <= 1.0:
+                        raise ValueError(f"rule value {value!r} at ({i}, {j}) outside [0, 1]")
+                    self._commit(i, j, value, factors, halved[j])
+                    if guarded:
+                        kernel[:, i] = kernel[i]
+                        if self.resum() > sums[-1]:
+                            self._commit(i, j, old, factors, halved[j])
+                            self._sum_rp, self._sum_kernel, self.cd2 = sums
+                kernel[:, i] = kernel[i]
+        finally:  # after an error too, row i's column and the sums are brought up to date
+            kernel[:, i] = kernel[i]
+            self.resum()
+        return self.cd2

@@ -28,9 +28,9 @@ The paper's pipeline, as ``construct`` runs it, starts a refiner from threshold
 accepting's best lattice design: ``cgd(embed(ta_optimize(ta_config).design))``.
 
 CGD and CZG state their visit rule here and run each epoch as one
-``DiscrepancyCache.sweep`` of it: O(ns) elementwise work per visit, plus one
-O(n^2) re-sum per epoch (guarded CZG re-sums after every visit).  CDFSS scores
-its 2ns moves in one O(n^2 s) pass per epoch and confirms the best with
+``DiscrepancyCache.sweep`` of it: about ten numpy calls on n-long rows per visit,
+plus one O(n^2) re-sum per epoch (guarded CZG re-sums after every visit).  CDFSS
+scores its 2ns moves in one O(n^2 s) pass per epoch and confirms the best with
 ``preview_update``.
 """
 

@@ -152,8 +152,7 @@ _SHAPES = [(1, 1), (1, 4), (3, 1), (2, 3), (5, 2), (9, 4), (18, 7), (27, 13)]
 
 def _visit(cache, i, j):
     """x_ij and the rest of (i, j)'s terms, read from row i's factors as a sweep reads them."""
-    f = cache._row_factors(i)
-    return cache._visit_terms(i, j, f, f[2].prod())
+    return cache._visit_terms(i, j, cache._row_factors(i))
 
 
 def _sweep_slope(cache, i, j):
@@ -477,11 +476,31 @@ class TestSweeps:
     def test_sweep_leaves_the_arrays_of_a_fresh_build(self, guarded):
         # every entry is recomputed from the design, as update does, so the
         # arrays are bitwise those of a cache built from the new design
-        for seed, (n, s) in enumerate([(1, 1), (6, 3), (11, 5)]):
+        for seed, (n, s) in enumerate([(1, 1), (6, 3), (11, 5), (18, 7)]):
             cache = DiscrepancyCache(random_design(n, s, seed))
             cache.sweep(_zero_gradient_rule(n, t_max=2), guarded=guarded)
             cache.sweep(_gradient_rule(n, 0.05))
             assert _state(cache) == _state(DiscrepancyCache(cache.design))
+
+    @pytest.mark.parametrize("guarded", [False, True])
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.1])
+    def test_rule_value_outside_the_cube_raises_after_the_earlier_visits(self, bad, guarded):
+        # the 11th visit, (2, 2), gets ``bad``: the sweep raises as update does, and the
+        # cache holds the first ten moves, as a sweep that stops moving there leaves it
+        n, s = 6, 4
+        start = random_design(n, s, seed=17)
+        move = _gradient_rule(n, 0.05)
+
+        def rule(stop):
+            visits = iter(range(n * s))
+            return lambda x, *terms: move(x, *terms) if next(visits) < 10 else stop(x)
+
+        cache, expected = DiscrepancyCache(start), DiscrepancyCache(start)
+        with pytest.raises(ValueError, match="outside"):
+            cache.sweep(rule(lambda x: bad), guarded)
+        expected.sweep(rule(lambda x: x), guarded)
+        assert not np.array_equal(cache.design, start)
+        assert _state(cache) == _state(expected) == _state(DiscrepancyCache(cache.design))
 
 
 class TestPreviewSteps:

@@ -241,7 +241,7 @@ def test_refiners_match_per_visit_reference_bit_for_bit(name, kind):
     # one public cache call per visit exactly: design bytes, CD2,
     # termination and every (step, cd2) trace record
     refine, reference = _REFERENCES[name]
-    for seed, (n, s) in enumerate([(1, 1), (1, 3), (5, 1), (2, 2), (7, 4), (12, 5)]):
+    for seed, (n, s) in enumerate([(1, 1), (1, 3), (5, 1), (2, 2), (7, 4), (12, 5), (18, 7)]):
         configs = [
             RefinerConfig(max_epochs=25),
             RefinerConfig(max_epochs=15, step_size=0.07, t_max=3),
